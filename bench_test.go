@@ -17,6 +17,7 @@ import (
 	"fastcoalesce/internal/core"
 	"fastcoalesce/internal/dom"
 	"fastcoalesce/internal/domforest"
+	"fastcoalesce/internal/driver"
 	"fastcoalesce/internal/ifgraph"
 	"fastcoalesce/internal/ir"
 	"fastcoalesce/internal/lang"
@@ -46,9 +47,9 @@ func benchmarkGraphCoalescer(b *testing.B, improved bool) {
 		f := suite[w.Name]
 		b.Run(w.Name, func(b *testing.B) {
 			var matrix int64
-			var algo bench.Algo = bench.Briggs
+			var algo driver.Algo = driver.Briggs
 			if improved {
-				algo = bench.BriggsStar
+				algo = driver.BriggsStar
 			}
 			for i := 0; i < b.N; i++ {
 				r := bench.RunPipeline(f, algo)
@@ -68,7 +69,7 @@ func BenchmarkTable1BriggsStar(b *testing.B) { benchmarkGraphCoalescer(b, true) 
 
 func BenchmarkTable2Pipelines(b *testing.B) {
 	suite := compileSuite(b)
-	for _, algo := range bench.Algos {
+	for _, algo := range driver.Algos {
 		algo := algo
 		for _, w := range bench.Workloads() {
 			f := suite[w.Name]
@@ -85,7 +86,7 @@ func BenchmarkTable2Pipelines(b *testing.B) {
 
 func BenchmarkTable4DynamicCopies(b *testing.B) {
 	suite := compileSuite(b)
-	for _, algo := range []bench.Algo{bench.Standard, bench.New, bench.BriggsStar} {
+	for _, algo := range []driver.Algo{driver.Standard, driver.New, driver.BriggsStar} {
 		algo := algo
 		for _, w := range bench.Workloads() {
 			w := w
@@ -110,7 +111,7 @@ func BenchmarkTable4DynamicCopies(b *testing.B) {
 
 func BenchmarkTable5StaticCopies(b *testing.B) {
 	suite := compileSuite(b)
-	for _, algo := range []bench.Algo{bench.Standard, bench.New, bench.BriggsStar} {
+	for _, algo := range []driver.Algo{driver.Standard, driver.New, driver.BriggsStar} {
 		algo := algo
 		for _, w := range bench.Workloads() {
 			f := suite[w.Name]
@@ -127,7 +128,7 @@ func BenchmarkTable5StaticCopies(b *testing.B) {
 
 // --- §3.7 scaling: near-linear New vs superlinear graph building ---------
 
-func benchmarkScaling(b *testing.B, algo bench.Algo) {
+func benchmarkScaling(b *testing.B, algo driver.Algo) {
 	for _, stmts := range []int{100, 400, 1600} {
 		w := bench.Generate(int64(stmts), bench.GenConfig{
 			Stmts: stmts, MaxDepth: 4, Scalars: 3, Arrays: 2,
@@ -144,10 +145,10 @@ func benchmarkScaling(b *testing.B, algo bench.Algo) {
 	}
 }
 
-func BenchmarkScalingStandard(b *testing.B)   { benchmarkScaling(b, bench.Standard) }
-func BenchmarkScalingNew(b *testing.B)        { benchmarkScaling(b, bench.New) }
-func BenchmarkScalingBriggs(b *testing.B)     { benchmarkScaling(b, bench.Briggs) }
-func BenchmarkScalingBriggsStar(b *testing.B) { benchmarkScaling(b, bench.BriggsStar) }
+func BenchmarkScalingStandard(b *testing.B)   { benchmarkScaling(b, driver.Standard) }
+func BenchmarkScalingNew(b *testing.B)        { benchmarkScaling(b, driver.New) }
+func BenchmarkScalingBriggs(b *testing.B)     { benchmarkScaling(b, driver.Briggs) }
+func BenchmarkScalingBriggsStar(b *testing.B) { benchmarkScaling(b, driver.BriggsStar) }
 
 // --- Ablations -------------------------------------------------------------
 
@@ -305,7 +306,7 @@ func BenchmarkExtAllocation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, algo := range []bench.Algo{bench.Standard, bench.New, bench.BriggsStar} {
+	for _, algo := range []driver.Algo{driver.Standard, driver.New, driver.BriggsStar} {
 		algo := algo
 		r := bench.RunPipeline(f, algo)
 		b.Run(algo.String(), func(b *testing.B) {

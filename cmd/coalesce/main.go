@@ -17,9 +17,6 @@
 //
 //	-algo     standard | new | briggs | briggs*   (default new)
 //	-ssa      pruned | semi | minimal             (default pruned)
-//	-domsolver  chk | semi-nca: dominator algorithm  (default chk)
-//	-livesolver worklist | round-robin | sparse: liveness algorithm
-//	          (default worklist); both solver flags are output-invariant
 //	-dump-in  print the input IR
 //	-dump-ssa print the SSA form before destruction
 //	-stats    print conversion statistics
@@ -75,14 +72,10 @@ import (
 	"fastcoalesce/internal/analysis"
 	"fastcoalesce/internal/bench"
 	"fastcoalesce/internal/cache"
-	"fastcoalesce/internal/core"
-	"fastcoalesce/internal/dom"
 	"fastcoalesce/internal/driver"
-	"fastcoalesce/internal/ifgraph"
 	"fastcoalesce/internal/interp"
 	"fastcoalesce/internal/ir"
 	"fastcoalesce/internal/lang"
-	"fastcoalesce/internal/liveness"
 	"fastcoalesce/internal/obs"
 	"fastcoalesce/internal/obs/obshttp"
 	"fastcoalesce/internal/opt"
@@ -100,10 +93,8 @@ func main() {
 // realMain carries every error back here so deferred writers (trace
 // files, buffered stdout) flush before the process exits non-zero.
 func realMain() error {
-	algo := flag.String("algo", "new", "standard | new | briggs | briggs*")
+	algoName := flag.String("algo", "new", "standard | new | briggs | briggs*")
 	flavor := flag.String("ssa", "pruned", "pruned | semi | minimal")
-	domSolverName := flag.String("domsolver", "chk", "dominator solver: chk | semi-nca")
-	liveSolverName := flag.String("livesolver", "worklist", "liveness solver: worklist | round-robin | sparse")
 	dumpIn := flag.Bool("dump-in", false, "print the input IR")
 	dumpSSA := flag.Bool("dump-ssa", false, "print the SSA form")
 	stats := flag.Bool("stats", false, "print conversion statistics")
@@ -132,15 +123,10 @@ func realMain() error {
 	if err != nil {
 		return err
 	}
-	domSolver, err := dom.ParseSolver(*domSolverName)
+	algo, err := driver.ParseAlgo(*algoName)
 	if err != nil {
 		return err
 	}
-	liveSolver, err := liveness.ParseSolver(*liveSolverName)
-	if err != nil {
-		return err
-	}
-	solvers := solverChoice{dom: domSolver, live: liveSolver}
 	regallocK := 0
 	if *doRegalloc {
 		regallocK = *k
@@ -154,17 +140,17 @@ func realMain() error {
 		if !*stream {
 			return writeSpool(*spool, *corpusN, fams, *seed)
 		}
-		return runStreamMode(*spool, *corpusN, fams, *seed, *algo, *jobs,
-			*chunk, *checkEvery, check, *trace, solvers, regallocK)
+		return runStreamMode(*spool, *corpusN, fams, *seed, algo, *jobs,
+			*chunk, *checkEvery, check, *trace, regallocK)
 	}
 	if *serve != "" {
 		if *batch == "" {
 			return fmt.Errorf("-serve needs -batch <dir> to know what to compile")
 		}
-		return runServe(*batch, *algo, *jobs, check, *cachemb, *serve, *interval, *rounds, *trace, solvers, regallocK)
+		return runServe(*batch, algo, *jobs, check, *cachemb, *serve, *interval, *rounds, *trace, regallocK)
 	}
 	if *batch != "" {
-		return runBatch(*batch, *algo, *jobs, *stats, check, *cachemb, *trace, solvers, regallocK)
+		return runBatch(*batch, algo, *jobs, *stats, check, *cachemb, *trace, regallocK)
 	}
 	if *cachemb != 0 {
 		return fmt.Errorf("-cachemb applies to -batch and -serve modes")
@@ -178,22 +164,9 @@ func realMain() error {
 		flag.Usage()
 		os.Exit(2)
 	}
-	src, err := os.ReadFile(flag.Arg(0))
+	funcs, err := loadFuncs(flag.Arg(0))
 	if err != nil {
 		return err
-	}
-	var funcs []*ir.Func
-	if strings.HasSuffix(flag.Arg(0), ".ir") {
-		f, err := ir.Parse(string(src))
-		if err != nil {
-			return err
-		}
-		funcs = []*ir.Func{f}
-	} else {
-		funcs, err = lang.Compile(string(src))
-		if err != nil {
-			return err
-		}
 	}
 
 	var fl ssa.Flavor
@@ -209,128 +182,103 @@ func realMain() error {
 	}
 
 	for _, f := range funcs {
-		if err := process(f, *algo, fl, *dumpIn, *dumpSSA, *stats, *optimize, *runArgs, check, solvers, regallocK); err != nil {
+		if err := process(os.Stdout, f, algo, fl, *dumpIn, *dumpSSA, *stats, *optimize, *runArgs, check, regallocK); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// solverChoice carries the substrate-solver flags through the call tree.
-type solverChoice struct {
-	dom  dom.Solver
-	live liveness.Solver
+// loadFuncs reads the functions of one source file: a .ir file holds one
+// function in IR text, anything else is kernel-language source.
+func loadFuncs(path string) ([]*ir.Func, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if strings.HasSuffix(path, ".ir") {
+		f, err := ir.Parse(string(src))
+		if err != nil {
+			return nil, err
+		}
+		return []*ir.Func{f}, nil
+	}
+	return lang.Compile(string(src))
 }
 
-func process(orig *ir.Func, algo string, fl ssa.Flavor, dumpIn, dumpSSA, stats, optimize bool, runArgs string, check analysis.Level, solvers solverChoice, regallocK int) error {
+// process compiles one function through the driver's pipeline
+// definition — the same BuildSSA/Destruct the batch driver runs — with
+// the single-file extras around it: dumps, -opt between construction and
+// destruction, per-pipeline statistics, the audit, and the interpreter
+// comparison. Everything is printed to w.
+func process(w io.Writer, orig *ir.Func, algo driver.Algo, fl ssa.Flavor, dumpIn, dumpSSA, stats, optimize bool, runArgs string, check analysis.Level, regallocK int) error {
 	if dumpIn {
-		fmt.Printf("=== input %s ===\n%s\n", orig.Name, orig)
+		fmt.Fprintf(w, "=== input %s ===\n%s\n", orig.Name, orig)
 	}
 	f := orig.Clone()
-	fold := algo == "new" || algo == "standard"
-	var ssaStats *ssa.Stats
-	if orig.CountPhis() > 0 {
-		// The input is already in SSA form (e.g. a hand-written .ir
-		// file): skip construction, just prepare for destruction.
-		if algo == "briggs" || algo == "briggs*" {
-			return fmt.Errorf("-algo %s rebuilds SSA without folding and cannot "+
-				"take SSA-form input; use new or standard", algo)
-		}
-		f.SplitCriticalEdges()
-		ssaStats = &ssa.Stats{}
-	} else {
-		ssaStats = ssa.Build(f, ssa.Options{
-			Flavor: fl, FoldCopies: fold,
-			DomSolver: solvers.dom, LiveSolver: solvers.live,
-		})
+	ssaStats, err := driver.BuildSSA(f, algo, fl, nil)
+	if err != nil {
+		return fmt.Errorf("-algo %w; use new or standard", err)
 	}
 	if optimize {
-		if !fold {
+		if !algo.FoldsCopies() {
 			return fmt.Errorf("-opt requires -algo new or standard " +
 				"(φ-web joining is unsound on optimized SSA)")
 		}
 		ost := opt.Optimize(f)
 		if stats {
-			fmt.Printf("%s: opt folded=%d simplified=%d numbered=%d dce=%d rounds=%d\n",
+			fmt.Fprintf(w, "%s: opt folded=%d simplified=%d numbered=%d dce=%d rounds=%d\n",
 				f.Name, ost.Folded, ost.Simplified, ost.Numbered, ost.DeadCode, ost.Rounds)
 		}
 	}
 	if dumpSSA {
-		fmt.Printf("=== ssa %s (%v, fold=%v) ===\n%s\n", f.Name, fl, fold, f)
+		fmt.Fprintf(w, "=== ssa %s (%v, fold=%v) ===\n%s\n", f.Name, fl, algo.FoldsCopies(), f)
 	}
 
 	// The audit needs the SSA form as destruction saw it and the renaming
-	// the pipeline applied (see internal/driver for the batch equivalent).
+	// the pipeline applied.
 	var ssaSnap *ir.Func
 	if check != analysis.None {
 		ssaSnap = f.Clone()
 	}
-	var nameMap []ir.VarID
-
-	switch algo {
-	case "standard":
-		ds := ssa.DestructStandard(f)
-		// Standard never renames: the identity map (nil) is correct.
-		if stats {
-			fmt.Printf("%s: φs=%d folded=%d inserted=%d temps=%d\n",
-				f.Name, ssaStats.PhisInserted, ssaStats.CopiesFolded,
-				ds.CopiesInserted, ds.TempsCreated)
-		}
-	case "new":
-		cs := core.Coalesce(f, core.Options{
-			RecordNameMap: check != analysis.None,
-			DomSolver:     solvers.dom, LiveSolver: solvers.live,
-		})
-		nameMap = cs.NameMap
-		if stats {
-			fmt.Printf("%s: φs=%d folded=%d unions=%d filters=%v forest-splits=%d local-splits=%d rounds=%d copies=%d classes=%d\n",
-				f.Name, ssaStats.PhisInserted, ssaStats.CopiesFolded,
-				cs.InitialUnions, cs.FilterHits, cs.ForestSplits,
+	d, err := driver.Destruct(f, algo, ssaStats, check != analysis.None, nil)
+	if err != nil {
+		return err
+	}
+	if stats {
+		fmt.Fprintf(w, "%s: φs=%d ", f.Name, ssaStats.PhisInserted)
+		switch {
+		case d.Standard != nil:
+			fmt.Fprintf(w, "folded=%d inserted=%d temps=%d\n",
+				ssaStats.CopiesFolded, d.Standard.CopiesInserted, d.Standard.TempsCreated)
+		case d.Core != nil:
+			cs := d.Core
+			fmt.Fprintf(w, "folded=%d unions=%d filters=%v forest-splits=%d local-splits=%d rounds=%d copies=%d classes=%d\n",
+				ssaStats.CopiesFolded, cs.InitialUnions, cs.FilterHits, cs.ForestSplits,
 				cs.LocalSplits, cs.Rounds, cs.CopiesInserted, cs.Classes)
+		case d.Graph != nil:
+			fmt.Fprintf(w, "passes=%d coalesced=%d matrix-bytes=%d\n",
+				len(d.Graph.Passes), d.Graph.CopiesCoalesced, d.Graph.TotalMatrixBytes())
 		}
-	case "briggs", "briggs*":
-		joinMap := ifgraph.JoinPhiWebs(f)
-		// JoinPhiWebs only renames; the CFG is unchanged since the SSA
-		// build, so the construction-time dominator tree still applies.
-		depth := ssaStats.Dom.FindLoops().Depth
-		cs := ifgraph.Coalesce(f, ifgraph.Options{
-			Improved:      algo == "briggs*",
-			Depth:         depth,
-			RecordNameMap: check != analysis.None,
-		})
-		if check != analysis.None {
-			// Compose the two renamings: SSA name → φ-web rep → final name.
-			nameMap = joinMap
-			for v := range nameMap {
-				nameMap[v] = cs.NameMap[nameMap[v]]
-			}
-		}
-		if stats {
-			fmt.Printf("%s: φs=%d passes=%d coalesced=%d matrix-bytes=%d\n",
-				f.Name, ssaStats.PhisInserted, len(cs.Passes),
-				cs.CopiesCoalesced, cs.TotalMatrixBytes())
-		}
-	default:
-		return fmt.Errorf("unknown -algo %q", algo)
 	}
 
 	if err := f.Verify(); err != nil {
 		return err
 	}
-	fmt.Printf("=== output %s (%s): %d static copies ===\n%s\n",
+	fmt.Fprintf(w, "=== output %s (%v): %d static copies ===\n%s\n",
 		f.Name, algo, f.CountCopies(), f)
 
 	if check != analysis.None {
 		rep := analysis.RunAll(&analysis.Unit{
-			Algo:    algo,
+			Algo:    algo.String(),
 			SSA:     ssaSnap,
 			Out:     f,
-			NameMap: nameMap,
+			NameMap: d.NameMap,
 		}, check)
 		if rep.Failed() || len(rep.Skipped) > 0 {
-			fmt.Printf("=== audit %s (%v) ===\n%s", f.Name, check, rep)
+			fmt.Fprintf(w, "=== audit %s (%v) ===\n%s", f.Name, check, rep)
 		} else {
-			fmt.Printf("=== audit %s (%v): clean ===\n", f.Name, check)
+			fmt.Fprintf(w, "=== audit %s (%v): clean ===\n", f.Name, check)
 		}
 		if rep.Failed() {
 			return fmt.Errorf("%s: audit reported %d findings", f.Name, len(rep.Diags))
@@ -340,9 +288,7 @@ func process(orig *ir.Func, algo string, fl ssa.Flavor, dumpIn, dumpSSA, stats, 
 	// Allocation runs after the audit: the name map covers the coalesced
 	// names, not the spill temps the rewrite mints.
 	if regallocK > 0 {
-		ra, err := regalloc.Allocate(f, regalloc.Options{
-			K: regallocK, DomSolver: solvers.dom, LiveSolver: solvers.live,
-		})
+		ra, err := regalloc.Allocate(f, regalloc.Options{K: regallocK})
 		if err != nil {
 			return fmt.Errorf("%s: regalloc: %w", f.Name, err)
 		}
@@ -352,11 +298,11 @@ func process(orig *ir.Func, algo string, fl ssa.Flavor, dumpIn, dumpSSA, stats, 
 		if err := f.Verify(); err != nil {
 			return fmt.Errorf("%s: spilled code invalid: %w", f.Name, err)
 		}
-		fmt.Printf("=== regalloc %s: k=%d spills=%d reloads=%d stores=%d rounds=%d colors=%d pressure=%d ===\n",
+		fmt.Fprintf(w, "=== regalloc %s: k=%d spills=%d reloads=%d stores=%d rounds=%d colors=%d pressure=%d ===\n",
 			f.Name, regallocK, ra.SpilledVars, ra.Reloads, ra.Stores, ra.Rounds,
 			ra.ColorsUsed, ra.MaxPressure)
 		if ra.SpilledVars > 0 {
-			fmt.Printf("%s\n", f)
+			fmt.Fprintf(w, "%s\n", f)
 		}
 	}
 
@@ -388,7 +334,7 @@ func process(orig *ir.Func, algo string, fl ssa.Flavor, dumpIn, dumpSSA, stats, 
 		if !interp.SameResult(want, got) {
 			status = "MISMATCH"
 		}
-		fmt.Printf("run(%v): original=%d rewritten=%d [%s]; dynamic copies %d -> %d\n",
+		fmt.Fprintf(w, "run(%v): original=%d rewritten=%d [%s]; dynamic copies %d -> %d\n",
 			args, want.Ret, got.Ret, status, want.Counts.Copies, got.Counts.Copies)
 	}
 	return nil
@@ -416,11 +362,6 @@ func collectJobs(dir string, algo driver.Algo, w io.Writer) ([]driver.Job, error
 		return nil, fmt.Errorf("no .kl or .ir files under %s", dir)
 	}
 
-	// The Briggs pipelines rebuild SSA without copy folding and cannot
-	// take inputs that are already in SSA form, so φ-form .ir files are
-	// skipped (with a note) instead of surfacing as batch errors.
-	briggs := algo == driver.Briggs || algo == driver.BriggsStar
-
 	var batchJobs []driver.Job
 	for _, path := range paths {
 		src, err := os.ReadFile(path)
@@ -428,7 +369,11 @@ func collectJobs(dir string, algo driver.Algo, w io.Writer) ([]driver.Job, error
 			return nil, err
 		}
 		if strings.HasSuffix(path, ".ir") {
-			if briggs {
+			// The Briggs pipelines rebuild SSA without copy folding and
+			// cannot take inputs that are already in SSA form, so φ-form
+			// .ir files are skipped (with a note) instead of surfacing as
+			// batch errors.
+			if !algo.FoldsCopies() {
 				f, err := ir.Parse(string(src))
 				if err != nil {
 					return nil, fmt.Errorf("%s: %w", path, err)
@@ -502,11 +447,7 @@ func buildCache(cachemb int, rec *obs.Recorder) *cache.Cache {
 // runBatch compiles every .kl/.ir file under dir through the concurrent
 // batch driver, prints one summary line per function in deterministic
 // (path) order, and finishes with the batch metrics table.
-func runBatch(dir, algoName string, workers int, stats bool, check analysis.Level, cachemb int, tracePath string, solvers solverChoice, regallocK int) error {
-	algo, err := driver.ParseAlgo(algoName)
-	if err != nil {
-		return err
-	}
+func runBatch(dir string, algo driver.Algo, workers int, stats bool, check analysis.Level, cachemb int, tracePath string, regallocK int) error {
 	out := bufio.NewWriter(os.Stdout)
 	batchJobs, err := collectJobs(dir, algo, out)
 	if err != nil {
@@ -520,8 +461,7 @@ func runBatch(dir, algoName string, workers int, stats bool, check analysis.Leve
 	}
 
 	results, snap := driver.Run(batchJobs, driver.Config{
-		Algo: algo, Workers: workers, Check: check, Obs: rec,
-		DomSolver: solvers.dom, LiveSolver: solvers.live, RegallocK: regallocK,
+		Algo: algo, Workers: workers, Check: check, Obs: rec, RegallocK: regallocK,
 		Cache: buildCache(cachemb, rec), Revalidate: check != analysis.None,
 	})
 	bad, findings := 0, 0
@@ -605,14 +545,11 @@ func writeSpool(path string, n int64, families []string, seed int64) error {
 // file) through the streaming engine and prints the reducer's table.
 // Memory stays bounded by workers × chunk no matter how large the
 // corpus is; SIGINT/SIGTERM stops pulling and drains in-flight work.
-func runStreamMode(spoolPath string, n int64, families []string, seed int64, algoName string, workers, chunk, checkEvery int, check analysis.Level, tracePath string, solvers solverChoice, regallocK int) error {
-	algo, err := driver.ParseAlgo(algoName)
-	if err != nil {
-		return err
-	}
+func runStreamMode(spoolPath string, n int64, families []string, seed int64, algo driver.Algo, workers, chunk, checkEvery int, check analysis.Level, tracePath string, regallocK int) error {
 	var src driver.JobSource
 	var spoolSrc *driver.SpoolSource
 	if spoolPath != "" {
+		var err error
 		if spoolSrc, err = driver.OpenSpool(spoolPath); err != nil {
 			return err
 		}
@@ -633,8 +570,7 @@ func runStreamMode(spoolPath string, n int64, families []string, seed int64, alg
 	defer stop()
 
 	cfg := driver.Config{
-		Algo: algo, Workers: workers, Check: check, Obs: rec,
-		DomSolver: solvers.dom, LiveSolver: solvers.live, RegallocK: regallocK,
+		Algo: algo, Workers: workers, Check: check, Obs: rec, RegallocK: regallocK,
 	}
 	red := driver.NewStreamStats()
 	rep := driver.RunStream(ctx, src, cfg, driver.StreamOptions{
@@ -671,11 +607,7 @@ func runStreamMode(spoolPath string, n int64, families []string, seed int64, alg
 // recompiles from scratch. SIGINT/SIGTERM cancels the context;
 // in-flight jobs drain, the exporter shuts down gracefully, and the
 // session report prints.
-func runServe(dir, algoName string, workers int, check analysis.Level, cachemb int, addr string, interval time.Duration, rounds int, tracePath string, solvers solverChoice, regallocK int) error {
-	algo, err := driver.ParseAlgo(algoName)
-	if err != nil {
-		return err
-	}
+func runServe(dir string, algo driver.Algo, workers int, check analysis.Level, cachemb int, addr string, interval time.Duration, rounds int, tracePath string, regallocK int) error {
 	out := bufio.NewWriter(os.Stdout)
 	batchJobs, err := collectJobs(dir, algo, out)
 	if err != nil {
@@ -700,8 +632,7 @@ func runServe(dir, algoName string, workers int, check analysis.Level, cachemb i
 	out.Flush()
 
 	cfg := driver.Config{
-		Algo: algo, Workers: workers, Check: check, Obs: rec,
-		DomSolver: solvers.dom, LiveSolver: solvers.live, RegallocK: regallocK,
+		Algo: algo, Workers: workers, Check: check, Obs: rec, RegallocK: regallocK,
 		Cache: buildCache(cachemb, rec), Revalidate: check != analysis.None,
 	}
 	rep := driver.Serve(ctx, batchJobs, cfg, driver.ServeOptions{

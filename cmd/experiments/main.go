@@ -9,7 +9,6 @@
 //	experiments -table 4        # one table
 //	experiments -repeat 9       # more timing repetitions
 //	experiments -scaling        # complexity scaling study only
-//	experiments -solvers        # substrate-solver crossover sweep (CHK vs SEMI-NCA, dense vs sparse)
 //	experiments -pressure       # register-pressure sweep: all pipelines allocated at k=4/8/16/32
 //	experiments -throughput     # batch-compilation throughput study
 //	experiments -audit          # checker-overhead study (internal/analysis)
@@ -52,7 +51,6 @@ func realMain() (err error) {
 	table := flag.Int("table", 0, "table to regenerate (1-5; 0 = all)")
 	repeat := flag.Int("repeat", 5, "timing repetitions (best-of)")
 	scaling := flag.Bool("scaling", false, "run the O(n α(n)) scaling study instead")
-	solvers := flag.Bool("solvers", false, "run the substrate-solver crossover sweep instead (also a differential gate)")
 	pressure := flag.Bool("pressure", false, "run the register-pressure sweep instead (also a differential gate)")
 	ext := flag.Bool("ext", false, "run the optimizer-pipeline extension experiment instead")
 	alloc := flag.Int("alloc", 0, "run the register-allocation experiment with this many registers")
@@ -119,8 +117,6 @@ func realMain() (err error) {
 		return runBenchJSON(*label, *repeat, *out)
 	case *scaling:
 		return runScaling()
-	case *solvers:
-		return runSolvers()
 	case *pressure:
 		return runPressure()
 	case *throughput:
@@ -213,44 +209,26 @@ func runScaling() error {
 	fmt.Printf("%8s %8s %12s %12s %12s %12s %12s %8s %12s %12s %8s\n",
 		"stmts", "blocks", "Standard(s)", "New(s)", "New-algo(s)", "Briggs(s)", "Briggs*(s)", "B*/New",
 		"B matrix(B)", "B* matrix(B)", "B/B*")
-	for _, stmts := range []int{50, 100, 200, 400, 800, 1600, 3200} {
-		w := bench.Generate(int64(stmts), bench.GenConfig{
-			Stmts: stmts, MaxDepth: 4, Scalars: 3, Arrays: 2,
-		})
-		f, err := lang.CompileOne(w.Src)
+	for _, stmts := range bench.ScalingLadder {
+		f, err := bench.ScalingProgram(stmts)
 		if err != nil {
 			return err
 		}
-		best := map[bench.Algo]time.Duration{}
-		var newAlgo time.Duration
-		var matrixB, matrixBStar int64
-		for rep := 0; rep < 3; rep++ {
-			for _, algo := range []bench.Algo{bench.Standard, bench.New, bench.Briggs, bench.BriggsStar} {
-				r := bench.RunPipeline(f, algo)
-				if d, ok := best[algo]; !ok || r.PhaseDuration < d {
-					best[algo] = r.PhaseDuration
-					switch algo {
-					case bench.New:
-						newAlgo = r.CoreStats.AlgoTime
-					case bench.Briggs:
-						matrixB = r.GraphStats.TotalMatrixBytes()
-					case bench.BriggsStar:
-						matrixBStar = r.GraphStats.TotalMatrixBytes()
-					}
-				}
-			}
-		}
-		ratio := float64(best[bench.BriggsStar]) / float64(best[bench.New])
-		memRatio := float64(matrixB) / float64(matrixBStar)
+		best := bench.BestOfThree(f)
+		phase := func(algo driver.Algo) time.Duration { return best[algo].PhaseDuration }
+		matrixB := best[driver.Briggs].GraphStats.TotalMatrixBytes()
+		matrixBStar := best[driver.BriggsStar].GraphStats.TotalMatrixBytes()
 		fmt.Printf("%8d %8d %12.6f %12.6f %12.6f %12.6f %12.6f %8.2f %12d %12d %8.1f\n",
 			stmts, f.NumBlocks(),
-			best[bench.Standard].Seconds(), best[bench.New].Seconds(), newAlgo.Seconds(),
-			best[bench.Briggs].Seconds(), best[bench.BriggsStar].Seconds(), ratio,
-			matrixB, matrixBStar, memRatio)
+			phase(driver.Standard).Seconds(), phase(driver.New).Seconds(),
+			best[driver.New].CoreStats.AlgoTime.Seconds(),
+			phase(driver.Briggs).Seconds(), phase(driver.BriggsStar).Seconds(),
+			float64(phase(driver.BriggsStar))/float64(phase(driver.New)),
+			matrixB, matrixBStar, float64(matrixB)/float64(matrixBStar))
 	}
 	fmt.Println("\nNew-algo is the four coalescing steps alone (the O(n α(n)) span);")
-	fmt.Println("New additionally recomputes dominators and liveness, which every")
-	fmt.Println("pipeline needs and which dominates at scale.")
+	fmt.Println("New additionally recomputes liveness (it reuses the SSA build's")
+	fmt.Println("dominator tree), which dominates at scale.")
 
 	// The Table 1 headline — the full graph wastes memory quadratically —
 	// shows in the copy-sparse regime: many names, few copies (the shape
@@ -266,32 +244,14 @@ func runScaling() error {
 		if err != nil {
 			return err
 		}
-		rb := bench.RunPipeline(f, bench.Briggs)
-		rs := bench.RunPipeline(f, bench.BriggsStar)
+		rb := bench.RunPipeline(f, driver.Briggs)
+		rs := bench.RunPipeline(f, driver.BriggsStar)
 		b, s := rb.GraphStats.TotalMatrixBytes(), rs.GraphStats.TotalMatrixBytes()
 		if s == 0 {
 			s = 1
 		}
 		fmt.Printf("%8d %12d %12d %10.0f\n", stmts, b, s, float64(b)/float64(s))
 	}
-	return nil
-}
-
-// runSolvers runs the substrate-solver crossover sweep: warm-scratch
-// dominator and liveness recompute times per CFG family and size, with
-// a built-in differential check (SEMI-NCA vs CHK, sparse vs worklist) —
-// any disagreement is returned as an error, so CI can use this mode as
-// a correctness gate.
-func runSolvers() error {
-	fmt.Println("Substrate-solver crossover sweep (warm scratch, best of 3)")
-	fmt.Println("(every point is differentially checked: SEMI-NCA against CHK,")
-	fmt.Println(" sparse per-variable liveness against the dense worklist)")
-	fmt.Println()
-	entries, err := bench.RunSolverSweep()
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.FormatSolverSweep(entries))
 	return nil
 }
 

@@ -12,6 +12,7 @@ import (
 	"log"
 
 	"fastcoalesce/internal/bench"
+	"fastcoalesce/internal/driver"
 	"fastcoalesce/internal/interp"
 	"fastcoalesce/internal/lang"
 	"fastcoalesce/internal/ssa"
@@ -51,7 +52,7 @@ func main() {
 
 	// Figure 3c vs Figure 4: Standard instantiation vs the coalescer.
 	w := bench.Workload{Name: "vswap", Src: src, Args: []int64{1}}
-	for _, algo := range []bench.Algo{bench.Standard, bench.New, bench.BriggsStar} {
+	for _, algo := range []driver.Algo{driver.Standard, driver.New, driver.BriggsStar} {
 		r := bench.RunPipeline(orig, algo)
 		fmt.Printf("--- %s: %d static copies ---\n%s\n", algo, r.StaticCopies, r.Func)
 		for _, c := range []int64{1, 0} {

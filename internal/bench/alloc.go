@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"fastcoalesce/internal/driver"
 	"fastcoalesce/internal/interp"
 	"fastcoalesce/internal/regalloc"
 )
@@ -19,7 +20,7 @@ type AllocRow struct {
 }
 
 // AllocAlgos labels the Spills/Loads columns.
-var AllocAlgos = []Algo{Standard, New, BriggsStar}
+var AllocAlgos = []driver.Algo{driver.Standard, driver.New, driver.BriggsStar}
 
 // TableAlloc allocates every workload with K registers after each
 // destruction pipeline and counts spilled ranges and dynamic spill

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fastcoalesce/internal/core"
+	"fastcoalesce/internal/driver"
 	"fastcoalesce/internal/interp"
 	"fastcoalesce/internal/lang"
 	"fastcoalesce/internal/opt"
@@ -47,7 +48,7 @@ func TestWorkloadsExerciseCopies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := RunPipeline(f, Standard)
+		r := RunPipeline(f, driver.Standard)
 		n, err := DynamicCopies(r.Func, w)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
@@ -70,7 +71,7 @@ func TestAllPipelinesCorrectOnSuite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, algo := range Algos {
+			for _, algo := range driver.Algos {
 				r := RunPipeline(f, algo)
 				if r.Func.CountPhis() != 0 {
 					t.Fatalf("%v: φ-nodes remain", algo)
@@ -93,9 +94,9 @@ func TestNewBeatsStandardOnSuite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stdCopies += RunPipeline(f, Standard).StaticCopies
-		newCopies += RunPipeline(f, New).StaticCopies
-		starCopies += RunPipeline(f, BriggsStar).StaticCopies
+		stdCopies += RunPipeline(f, driver.Standard).StaticCopies
+		newCopies += RunPipeline(f, driver.New).StaticCopies
+		starCopies += RunPipeline(f, driver.BriggsStar).StaticCopies
 	}
 	if newCopies >= stdCopies {
 		t.Fatalf("New leaves %d static copies, Standard %d — coalescing won nothing",
@@ -154,7 +155,7 @@ func TestFuzzPipelines(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d original: %v", seed, err)
 		}
-		for _, algo := range Algos {
+		for _, algo := range driver.Algos {
 			r := RunPipeline(orig, algo)
 			got, err := interp.Run(r.Func, w.Args, w.Arrays(), 50_000_000)
 			if err != nil {
@@ -264,8 +265,8 @@ func TestBriggsVariantsIdenticalOnFuzzCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := RunPipeline(f, Briggs)
-		b := RunPipeline(f, BriggsStar)
+		a := RunPipeline(f, driver.Briggs)
+		b := RunPipeline(f, driver.BriggsStar)
 		if a.StaticCopies != b.StaticCopies {
 			t.Fatalf("seed %d: Briggs %d copies, Briggs* %d\n%s",
 				seed, a.StaticCopies, b.StaticCopies, w.Src)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fastcoalesce/internal/core"
+	"fastcoalesce/internal/driver"
 	"fastcoalesce/internal/ir"
 	"fastcoalesce/internal/lang"
 	"fastcoalesce/internal/liveness"
@@ -48,6 +49,17 @@ type ScalingEntry struct {
 	StarNs     float64 `json:"briggs_star_ns"`
 }
 
+// ScalingLadder is the generated-program sizes (statements) of the
+// scaling study.
+var ScalingLadder = []int{50, 100, 200, 400, 800, 1600, 3200}
+
+// ScalingProgram generates and compiles the scaling study's program of
+// the given size.
+func ScalingProgram(stmts int) (*ir.Func, error) {
+	w := Generate(int64(stmts), GenConfig{Stmts: stmts, MaxDepth: 4, Scalars: 3, Arrays: 2})
+	return lang.CompileOne(w.Src)
+}
+
 // BenchReport is the full baseline document.
 type BenchReport struct {
 	Schema    string          `json:"schema"`
@@ -59,7 +71,6 @@ type BenchReport struct {
 	Workloads []BenchEntry    `json:"workloads"`
 	Micro     []BenchEntry    `json:"micro"`
 	Scaling   []ScalingEntry  `json:"scaling"`
-	Solvers   []SolverEntry   `json:"solvers,omitempty"`  // substrate-solver crossover sweep
 	Cache     []BenchEntry    `json:"cache,omitempty"`    // result-cache off/fill/hit batch costs
 	Serve     []BenchEntry    `json:"serve,omitempty"`    // warm shard-pool submit floor per shard count
 	Pressure  []PressureEntry `json:"pressure,omitempty"` // register-pressure sweep at k=4/8/16/32
@@ -91,7 +102,7 @@ func measureSpan(n int, body func(i int)) (nsPerOp, bytesPerOp, allocsPerOp floa
 // minimum-over-runs for the allocation counters.
 func coldEntries(w Workload, f *ir.Func, repeat int) []BenchEntry {
 	var out []BenchEntry
-	for _, algo := range Algos {
+	for _, algo := range driver.Algos {
 		e := BenchEntry{Name: w.Name, Pipeline: algo.String(), Mode: "cold", Iters: repeat}
 		for rep := 0; rep < repeat; rep++ {
 			r := RunPipeline(f, algo)
@@ -236,66 +247,56 @@ func cutlinks(n int, a []int) int {
 	return x + y + z
 }`
 
-// scalingEntries reruns the complexity study (best of 3 per point).
+// BestOfThree compiles f three times with every pipeline, interleaved,
+// and returns each pipeline's fastest run by destruction-phase time,
+// indexed by driver.Algo — the measurement behind every point of the
+// scaling study.
+func BestOfThree(f *ir.Func) []*PipelineResult {
+	best := make([]*PipelineResult, len(driver.Algos))
+	for rep := 0; rep < 3; rep++ {
+		for _, algo := range driver.Algos {
+			if r := RunPipeline(f, algo); best[algo] == nil || r.PhaseDuration < best[algo].PhaseDuration {
+				best[algo] = r
+			}
+		}
+	}
+	return best
+}
+
+// scalingEntry is one point of the complexity study.
+func scalingEntry(family string, stmts int, f *ir.Func) ScalingEntry {
+	best := BestOfThree(f)
+	ns := func(algo driver.Algo) float64 { return float64(best[algo].PhaseDuration.Nanoseconds()) }
+	return ScalingEntry{
+		Family: family, Stmts: stmts, Blocks: f.NumBlocks(),
+		StandardNs: ns(driver.Standard),
+		NewNs:      ns(driver.New),
+		NewAlgoNs:  float64(best[driver.New].CoreStats.AlgoTime.Nanoseconds()),
+		BriggsNs:   ns(driver.Briggs),
+		StarNs:     ns(driver.BriggsStar),
+	}
+}
+
+// scalingEntries reruns the complexity study: the kernel-language
+// generator ladder, then the famgen.go CFGs, so the scaling section
+// covers shapes (deep nests, wide joins, irreducible regions) the kernel
+// generator cannot emit.
 func scalingEntries() ([]ScalingEntry, error) {
 	var out []ScalingEntry
-	for _, stmts := range []int{50, 100, 200, 400, 800, 1600, 3200} {
-		w := Generate(int64(stmts), GenConfig{Stmts: stmts, MaxDepth: 4, Scalars: 3, Arrays: 2})
-		f, err := lang.CompileOne(w.Src)
+	for _, stmts := range ScalingLadder {
+		f, err := ScalingProgram(stmts)
 		if err != nil {
 			return nil, err
 		}
-		se := ScalingEntry{Stmts: stmts, Blocks: f.NumBlocks()}
-		best := map[Algo]time.Duration{}
-		var newAlgo time.Duration
-		for rep := 0; rep < 3; rep++ {
-			for _, algo := range []Algo{Standard, New, Briggs, BriggsStar} {
-				r := RunPipeline(f, algo)
-				if d, ok := best[algo]; !ok || r.PhaseDuration < d {
-					best[algo] = r.PhaseDuration
-					if algo == New {
-						newAlgo = r.CoreStats.AlgoTime
-					}
-				}
-			}
-		}
-		se.StandardNs = float64(best[Standard].Nanoseconds())
-		se.NewNs = float64(best[New].Nanoseconds())
-		se.NewAlgoNs = float64(newAlgo.Nanoseconds())
-		se.BriggsNs = float64(best[Briggs].Nanoseconds())
-		se.StarNs = float64(best[BriggsStar].Nanoseconds())
-		out = append(out, se)
+		out = append(out, scalingEntry("", stmts, f))
 	}
-	// Substrate-stress family points: the same best-of-3 full-pipeline
-	// measurement over the famgen.go CFGs, so the scaling section covers
-	// shapes (deep nests, wide joins, irreducible regions) the kernel
-	// generator cannot emit.
 	for _, fam := range Families() {
 		for _, size := range []int{64, 256} {
 			f := fam.Build(size)
 			if err := f.Verify(); err != nil {
 				return nil, fmt.Errorf("%s/%d: %w", fam.Name, size, err)
 			}
-			se := ScalingEntry{Family: fam.Name, Stmts: f.NumInstrs(), Blocks: f.NumBlocks()}
-			best := map[Algo]time.Duration{}
-			var newAlgo time.Duration
-			for rep := 0; rep < 3; rep++ {
-				for _, algo := range []Algo{Standard, New, Briggs, BriggsStar} {
-					r := RunPipeline(f, algo)
-					if d, ok := best[algo]; !ok || r.PhaseDuration < d {
-						best[algo] = r.PhaseDuration
-						if algo == New {
-							newAlgo = r.CoreStats.AlgoTime
-						}
-					}
-				}
-			}
-			se.StandardNs = float64(best[Standard].Nanoseconds())
-			se.NewNs = float64(best[New].Nanoseconds())
-			se.NewAlgoNs = float64(newAlgo.Nanoseconds())
-			se.BriggsNs = float64(best[Briggs].Nanoseconds())
-			se.StarNs = float64(best[BriggsStar].Nanoseconds())
-			out = append(out, se)
+			out = append(out, scalingEntry(fam.Name, f.NumInstrs(), f))
 		}
 	}
 	return out, nil
@@ -329,11 +330,6 @@ func RunBenchJSON(label string, repeat int) (*BenchReport, error) {
 		return nil, err
 	}
 	rep.Scaling = scaling
-	solvers, err := RunSolverSweep()
-	if err != nil {
-		return nil, err
-	}
-	rep.Solvers = solvers
 	cacheB, err := cacheEntries()
 	if err != nil {
 		return nil, err

@@ -22,7 +22,7 @@ func TestCorpusSourceDeterminism(t *testing.T) {
 		}
 		red := driver.NewStreamStats()
 		rep := driver.RunStream(context.Background(), src,
-			driver.Config{Algo: New, Workers: workers},
+			driver.Config{Algo: driver.New, Workers: workers},
 			driver.StreamOptions{Chunk: chunk, NoSteal: noSteal}, red)
 		if rep.Processed != spec.N {
 			t.Fatalf("workers=%d chunk=%d: processed %d of %d", workers, chunk, rep.Processed, spec.N)
@@ -108,7 +108,7 @@ func TestCorpusSweepSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRows := len(Algos) * (1 + len(Families()) + 1) // "*" + famgen families + gen
+	wantRows := len(driver.Algos) * (1 + len(Families()) + 1) // "*" + famgen families + gen
 	if len(entries) != wantRows {
 		t.Fatalf("%d corpus rows, want %d", len(entries), wantRows)
 	}
@@ -158,7 +158,7 @@ func benchmarkSched(b *testing.B, opt driver.StreamOptions) {
 	for i := int64(0); i < src.N(); i++ {
 		jobs[i] = src.JobAt(i)
 	}
-	cfg := driver.Config{Algo: New, Workers: 4}
+	cfg := driver.Config{Algo: driver.New, Workers: 4}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		red := driver.NewStreamStats()

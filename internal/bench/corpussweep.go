@@ -90,7 +90,7 @@ func RunCorpusSweep(opt CorpusOptions) ([]CorpusEntry, []SchedEntry, error) {
 		opt.N = 100_000
 	}
 	var entries []CorpusEntry
-	for _, algo := range Algos {
+	for _, algo := range driver.Algos {
 		src, err := NewCorpusSource(CorpusSpec{N: opt.N, Families: opt.Families, Seed: opt.Seed})
 		if err != nil {
 			return nil, nil, err
@@ -234,7 +234,7 @@ func RunSchedBench(n int64, workers, chunk int, seed int64, logw io.Writer) ([]S
 	if chunk <= 0 {
 		chunk = driver.DefaultChunk
 	}
-	cfg := driver.Config{Algo: New, Workers: workers}
+	cfg := driver.Config{Algo: driver.New, Workers: workers}
 	modes := []struct {
 		name string
 		opt  driver.StreamOptions

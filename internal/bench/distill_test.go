@@ -24,7 +24,7 @@ func TestDistilledFuzzCorpus(t *testing.T) {
 		t.Fatal("committed seed corpus distilled to zero workloads")
 	}
 	for _, w := range ws {
-		for _, algo := range Algos {
+		for _, algo := range driver.Algos {
 			if w.PhiForm && (algo == driver.Briggs || algo == driver.BriggsStar) {
 				continue // these rebuild SSA and cannot take φ-form input
 			}

@@ -6,10 +6,10 @@ import "fastcoalesce/internal/ir"
 // 29 memorized workloads cannot: depth (long idom chains and intersect
 // ladders), width (many short live ranges across diamond joins), and
 // irreducibility (regions where the CHK iterative solver needs extra
-// sweeps while SEMI-NCA stays single-pass). The builders emit verifying
-// IR directly — the kernel language cannot express irreducible flow — so
-// the same functions feed the solver crossover sweep, the differential
-// tests, and the pipeline scaling study.
+// sweeps while the SEMI-NCA test oracle stays single-pass). The builders
+// emit verifying IR directly — the kernel language cannot express
+// irreducible flow — so the same functions feed the solver differential
+// tests and the pipeline scaling study.
 
 // CFGFamily names one generator; Build returns a function whose block
 // count grows linearly in size.

@@ -14,26 +14,10 @@ import (
 	"fastcoalesce/internal/ssa"
 )
 
-// Algo selects one of the four SSA-to-CFG conversion pipelines the paper
-// compares (§4). The type lives in the batch driver; bench re-exports it
-// so the experiment code and the driver agree on pipeline identity.
-type Algo = driver.Algo
-
-// The pipelines (see driver for the paper nomenclature).
-const (
-	Standard   = driver.Standard
-	New        = driver.New
-	Briggs     = driver.Briggs
-	BriggsStar = driver.BriggsStar
-)
-
-// Algos lists all pipelines in table order.
-var Algos = driver.Algos
-
 // PipelineResult is the outcome of compiling one function with one
 // pipeline.
 type PipelineResult struct {
-	Algo     Algo
+	Algo     driver.Algo
 	Func     *ir.Func // the rewritten, φ-free function
 	Duration time.Duration
 	// PhaseDuration is the SSA-destruction phase alone (coalescing and
@@ -48,11 +32,14 @@ type PipelineResult struct {
 	GraphStats    *ifgraph.CoalesceStats // Briggs/Briggs* only
 }
 
-// RunPipeline compiles a clone of f with the chosen pipeline. Following
-// the paper, the clock starts immediately before SSA construction and
-// stops after the code is rewritten (§4.2); allocation is measured over
-// the same span.
-func RunPipeline(f *ir.Func, algo Algo) *PipelineResult {
+// RunPipeline compiles a clone of f with the chosen pipeline, cold and
+// untraced, through the driver's pipeline definition. Following the
+// paper, the clock starts immediately before SSA construction and stops
+// after the code is rewritten (§4.2); allocation is measured over the
+// same span. The experiments feed it φ-free functions only, so input a
+// pipeline rejects (φ-form IR under Briggs) is a programming error and
+// panics.
+func RunPipeline(f *ir.Func, algo driver.Algo) *PipelineResult {
 	g := f.Clone()
 	res := &PipelineResult{Algo: algo}
 
@@ -60,37 +47,25 @@ func RunPipeline(f *ir.Func, algo Algo) *PipelineResult {
 	runtime.ReadMemStats(&ms0)
 	start := time.Now()
 
-	switch algo {
-	case Standard:
-		res.SSAStats = ssa.Build(g, ssa.Options{Flavor: ssa.Pruned, FoldCopies: true})
-		p0 := time.Now()
-		ssa.DestructStandard(g)
-		res.PhaseDuration = time.Since(p0)
-	case New:
-		res.SSAStats = ssa.Build(g, ssa.Options{Flavor: ssa.Pruned, FoldCopies: true})
-		p0 := time.Now()
-		res.CoreStats = core.Coalesce(g, core.Options{Dom: res.SSAStats.Dom})
-		res.PhaseDuration = time.Since(p0)
-	case Briggs, BriggsStar:
-		res.SSAStats = ssa.Build(g, ssa.Options{Flavor: ssa.Pruned, FoldCopies: false})
-		p0 := time.Now()
-		ifgraph.JoinPhiWebs(g)
-		// JoinPhiWebs only renames instructions; the CFG is unchanged
-		// since the SSA build, so its dominator tree serves the loop-depth
-		// query — recomputing here would double the dominator work.
-		depth := res.SSAStats.Dom.FindLoops().Depth
-		res.GraphStats = ifgraph.Coalesce(g, ifgraph.Options{
-			Improved: algo == BriggsStar,
-			Depth:    depth,
-		})
-		res.PhaseDuration = time.Since(p0)
+	st, err := driver.BuildSSA(g, algo, ssa.Pruned, nil)
+	if err != nil {
+		panic(fmt.Sprintf("bench.RunPipeline(%s): %v", f.Name, err))
 	}
+	p0 := time.Now()
+	d, err := driver.Destruct(g, algo, st, false, nil)
+	if err != nil {
+		panic(fmt.Sprintf("bench.RunPipeline(%s): %v", f.Name, err))
+	}
+	res.PhaseDuration = time.Since(p0)
 
 	res.Duration = time.Since(start)
 	runtime.ReadMemStats(&ms1)
 	res.AllocBytes = int64(ms1.TotalAlloc - ms0.TotalAlloc)
 	res.AllocObjects = int64(ms1.Mallocs - ms0.Mallocs)
 	res.Func = g
+	res.SSAStats = st
+	res.CoreStats = d.Core
+	res.GraphStats = d.Graph
 	res.StaticCopies = g.CountCopies()
 	return res
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"fastcoalesce/internal/driver"
 	"fastcoalesce/internal/interp"
 	"fastcoalesce/internal/ir"
 	"fastcoalesce/internal/regalloc"
@@ -127,7 +128,7 @@ func RunPressureSweep() ([]PressureEntry, error) {
 	var rsc regalloc.Scratch
 	var out []PressureEntry
 	for _, k := range PressureKs {
-		for _, algo := range Algos {
+		for _, algo := range driver.Algos {
 			e := PressureEntry{Scope: "suite", Pipeline: algo.String(), K: k}
 			for i, w := range ws {
 				g := RunPipeline(origs[i], algo).Func
@@ -138,7 +139,7 @@ func RunPressureSweep() ([]PressureEntry, error) {
 			out = append(out, e)
 		}
 		for fi, fam := range fams {
-			for _, algo := range Algos {
+			for _, algo := range driver.Algos {
 				e := PressureEntry{Scope: fam.Name, Pipeline: algo.String(), K: k}
 				g := RunPipeline(famFuncs[fi], algo).Func
 				if err := pressurePoint(&e, fam.Name, famWants[fi], g, k, nil, noArrays, &rsc); err != nil {

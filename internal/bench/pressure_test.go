@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"fastcoalesce/internal/driver"
 	"fastcoalesce/internal/regalloc"
 )
 
@@ -22,7 +23,7 @@ func TestPressureSweepDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	scopes := 1 + len(Families())
-	if want := len(PressureKs) * scopes * len(Algos); len(entries) != want {
+	if want := len(PressureKs) * scopes * len(driver.Algos); len(entries) != want {
 		t.Fatalf("%d entries, want %d", len(entries), want)
 	}
 
@@ -61,8 +62,8 @@ func TestPressureSweepDifferential(t *testing.T) {
 		}
 	}
 	for _, k := range PressureKs {
-		std := spills[[2]string{"suite", Standard.String()}][k]
-		for _, algo := range []Algo{New, Briggs, BriggsStar} {
+		std := spills[[2]string{"suite", driver.Standard.String()}][k]
+		for _, algo := range []driver.Algo{driver.New, driver.Briggs, driver.BriggsStar} {
 			if got := spills[[2]string{"suite", algo.String()}][k]; got > std {
 				t.Errorf("suite k=%d: %v spills %d, more than Standard's %d", k, algo, got, std)
 			}
@@ -88,11 +89,11 @@ func TestPressureFamilyPins(t *testing.T) {
 		// closure-ladder/Standard dropped 386 -> 385 when a spill-table
 		// growth bug (stamps lost on reallocation, letting color re-spill
 		// already-spilled ranges) was fixed in regalloc.Scratch.
-		"closure-ladder":  {"Standard": 385, "New": 133, "Briggs": 162, "Briggs*": 162},
+		"closure-ladder": {"Standard": 385, "New": 133, "Briggs": 162, "Briggs*": 162},
 	}
 	for _, fam := range Families() {
 		f := fam.Build(famPressureSize)
-		for _, algo := range Algos {
+		for _, algo := range driver.Algos {
 			g := RunPipeline(f, algo).Func
 			res, err := regalloc.Allocate(g, regalloc.Options{K: 2})
 			if err != nil {
@@ -185,7 +186,7 @@ func TestCommittedCorpusReport(t *testing.T) {
 		}
 		families[e.Pipeline][e.Family] = true
 	}
-	for _, algo := range Algos {
+	for _, algo := range driver.Algos {
 		g, ok := globals[algo.String()]
 		if !ok {
 			t.Errorf("BENCH_10.json: no global corpus row for %v", algo)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"fastcoalesce/internal/driver"
 	"fastcoalesce/internal/ir"
 )
 
@@ -34,8 +35,8 @@ func Table1(ws []Workload, repeat int) ([]Table1Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", w.Name, err)
 		}
-		rb := bestDuration(f, Briggs, repeat)
-		rs := bestDuration(f, BriggsStar, repeat)
+		rb := bestDuration(f, driver.Briggs, repeat)
+		rs := bestDuration(f, driver.BriggsStar, repeat)
 		row := Table1Row{
 			Name:         w.Name,
 			BriggsTime:   rb.Duration,
@@ -67,7 +68,7 @@ func passBytes(r *PipelineResult) (p1, p2 int64) {
 
 // bestDuration runs the pipeline repeat times and keeps the result with
 // the smallest duration (the usual way to suppress timing noise).
-func bestDuration(f *ir.Func, algo Algo, repeat int) *PipelineResult {
+func bestDuration(f *ir.Func, algo driver.Algo, repeat int) *PipelineResult {
 	best := RunPipeline(f, algo)
 	for i := 1; i < repeat; i++ {
 		r := RunPipeline(f, algo)
@@ -123,7 +124,7 @@ func timedTable(ws []Workload, repeat int, metric func(*PipelineResult) float64)
 			return nil, fmt.Errorf("%s: %w", w.Name, err)
 		}
 		row := TimedRow{Name: w.Name}
-		for _, algo := range []Algo{Standard, New, BriggsStar} {
+		for _, algo := range []driver.Algo{driver.Standard, driver.New, driver.BriggsStar} {
 			best := 0.0
 			for rep := 0; rep < max(repeat, 1); rep++ {
 				r := RunPipeline(f, algo)
@@ -133,11 +134,11 @@ func timedTable(ws []Workload, repeat int, metric func(*PipelineResult) float64)
 				}
 			}
 			switch algo {
-			case Standard:
+			case driver.Standard:
 				row.Standard = best
-			case New:
+			case driver.New:
 				row.New = best
-			case BriggsStar:
+			case driver.BriggsStar:
 				row.Star = best
 			}
 		}
@@ -170,7 +171,7 @@ func copyTable(ws []Workload, metric func(*PipelineResult, Workload) (float64, e
 			return nil, fmt.Errorf("%s: %w", w.Name, err)
 		}
 		row := TimedRow{Name: w.Name}
-		for _, algo := range []Algo{Standard, New, BriggsStar} {
+		for _, algo := range []driver.Algo{driver.Standard, driver.New, driver.BriggsStar} {
 			r := RunPipeline(f, algo)
 			if err := CheckAgainstOriginal(f, r.Func, w); err != nil {
 				return nil, fmt.Errorf("%v: %w", algo, err)
@@ -180,11 +181,11 @@ func copyTable(ws []Workload, metric func(*PipelineResult, Workload) (float64, e
 				return nil, err
 			}
 			switch algo {
-			case Standard:
+			case driver.Standard:
 				row.Standard = m
-			case New:
+			case driver.New:
 				row.New = m
-			case BriggsStar:
+			case driver.BriggsStar:
 				row.Star = m
 			}
 		}

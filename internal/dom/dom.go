@@ -1,9 +1,10 @@
 // Package dom computes dominator information for an ir.Func: immediate
-// dominators (either the Cooper-Harvey-Kennedy iterative algorithm or the
-// SEMI-NCA semidominator algorithm, selectable per call), the dominator
-// tree with Tarjan-style preorder/max-preorder numbering for O(1) ancestry
-// queries, dominance frontiers (Cytron et al.), and natural-loop nesting
-// depths.
+// dominators (the Cooper-Harvey-Kennedy iterative algorithm), the
+// dominator tree with Tarjan-style preorder/max-preorder numbering for
+// O(1) ancestry queries, dominance frontiers (Cytron et al.), and
+// natural-loop nesting depths. The SEMI-NCA algorithm survives only as a
+// differential oracle in this package's tests: CHK measured faster on
+// every CFG family the generators emit (BENCH_8.json).
 //
 // The preorder/max-preorder numbering is the "done only once for the whole
 // SSA" preprocessing step of the paper's dominance-forest construction
@@ -18,75 +19,20 @@
 package dom
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"fastcoalesce/internal/ir"
 	"fastcoalesce/internal/reuse"
 )
 
-// Solver selects the immediate-dominator algorithm run by RecomputeWith.
-// Both produce identical output (the immediate dominators of a CFG are
-// unique), so everything derived — Children, Pre/MaxPre, frontiers — is
-// byte-identical regardless of the choice; only the cost model differs.
-type Solver uint8
-
-const (
-	// CHK is the Cooper-Harvey-Kennedy iterative solver: reverse-postorder
-	// sweeps with an intersect ladder. O(n²) in the worst case but very low
-	// constants, and typically 1–2 sweeps on reducible CFGs.
-	CHK Solver = iota
-	// SemiNCA computes semidominators with Lengauer-Tarjan path-compressed
-	// link-eval over a DSU ancestor forest, then recovers immediate
-	// dominators with the SEMI-NCA ascending-path walk. Near-linear and
-	// insensitive to irreducibility.
-	SemiNCA
-
-	numSolvers
-)
-
-// String returns the flag spelling of the solver.
-func (s Solver) String() string {
-	switch s {
-	case CHK:
-		return "chk"
-	case SemiNCA:
-		return "semi-nca"
-	}
-	return "unknown"
-}
-
-// ParseSolver parses a -domsolver flag value.
-func ParseSolver(s string) (Solver, error) {
-	switch s {
-	case "chk":
-		return CHK, nil
-	case "semi-nca", "snca":
-		return SemiNCA, nil
-	}
-	return CHK, fmt.Errorf("unknown dominator solver %q (want chk or semi-nca)", s)
-}
-
-// recomputeCounts counts dominator (re)computations process-wide, one
-// counter per solver so tests can tell which algorithm did the work.
-var recomputeCounts [numSolvers]atomic.Int64
+// recomputeCount counts dominator computations process-wide.
+var recomputeCount atomic.Int64
 
 // RecomputeCount returns how many dominator computations this process has
-// performed under any solver — a test hook guarding against pipelines
-// recomputing a tree they could reuse (SSA construction already publishes
-// one via ssa.Stats.Dom).
-func RecomputeCount() int64 {
-	var total int64
-	for i := range recomputeCounts {
-		total += recomputeCounts[i].Load()
-	}
-	return total
-}
-
-// RecomputeCountOf returns the process-wide computation count for one
-// solver, so the no-redundant-recompute regression test keeps meaning
-// under solver selection.
-func RecomputeCountOf(s Solver) int64 { return recomputeCounts[s].Load() }
+// performed — a test hook guarding against pipelines recomputing a tree
+// they could reuse (SSA construction already publishes one via
+// ssa.Stats.Dom).
+func RecomputeCount() int64 { return recomputeCount.Load() }
 
 // Tree holds dominator information for a function whose blocks are all
 // reachable from the entry (run ir.Func.RemoveUnreachable first).
@@ -112,22 +58,6 @@ type Tree struct {
 	// Reusable DFS state (see Recompute).
 	state  []uint8
 	frames []dfsFrame
-
-	// SEMI-NCA scratch (see snca.go). All slices are in DFS-preorder
-	// space except sncaDfn/sncaSeen, which are indexed by block. The seen
-	// marks use the generation-stamp idiom: a block's dfn is valid only
-	// while its stamp equals the current generation, so reruns skip the
-	// O(n) clear of the visited array.
-	sncaVertex []ir.BlockID // preorder number -> block
-	sncaDfn    []int32      // block -> preorder number (valid iff stamped)
-	sncaSeen   []uint32     // fc:stamp sncaGen
-	sncaGen    uint32       // fc:epoch
-	sncaParent []int32      // DFS-tree parent, preorder space
-	sncaSemi   []int32      // semidominator, preorder space
-	sncaIdom   []int32      // immediate dominator, preorder space
-	sncaAnc    []int32      // DSU ancestor forest (-1 = root of its tree)
-	sncaLabel  []int32      // min-semi representative on the path to the root
-	sncaPath   []int32      // eval's compression stack
 }
 
 type dfsFrame struct {
@@ -142,18 +72,11 @@ func New(f *ir.Func) *Tree {
 	return t
 }
 
-// Recompute rebuilds the dominator information for f in place with the
-// default CHK solver, reusing t's slices — the Scratch-reuse hook for
-// batch compilation. A zero Tree is valid input. Results previously read
-// from t are invalidated.
+// Recompute rebuilds the dominator information for f in place, reusing
+// t's slices — the Scratch-reuse hook for batch compilation. A zero Tree
+// is valid input. Results previously read from t are invalidated.
 func (t *Tree) Recompute(f *ir.Func) {
-	t.RecomputeWith(f, CHK)
-}
-
-// RecomputeWith is Recompute with an explicit solver choice. The output
-// is identical for every solver; see Solver.
-func (t *Tree) RecomputeWith(f *ir.Func, solver Solver) {
-	recomputeCounts[solver].Add(1)
+	recomputeCount.Add(1)
 	n := len(f.Blocks)
 	t.f = f
 	t.Idom = reuse.Slice(t.Idom, n)
@@ -163,13 +86,8 @@ func (t *Tree) RecomputeWith(f *ir.Func, solver Solver) {
 	t.Pre = reuse.Zeroed(t.Pre, n)
 	t.MaxPre = reuse.Zeroed(t.MaxPre, n)
 	t.RPONum = reuse.Zeroed(t.RPONum, n)
-	if solver == SemiNCA {
-		t.sncaDFS()
-		t.computeIdomSNCA()
-	} else {
-		t.computeRPO()
-		t.computeIdom()
-	}
+	t.computeRPO()
+	t.computeIdom()
 	t.buildTree()
 }
 

@@ -34,12 +34,8 @@ import (
 
 	"fastcoalesce/internal/analysis"
 	"fastcoalesce/internal/cache"
-	"fastcoalesce/internal/core"
-	"fastcoalesce/internal/dom"
-	"fastcoalesce/internal/ifgraph"
 	"fastcoalesce/internal/ir"
 	"fastcoalesce/internal/lang"
-	"fastcoalesce/internal/liveness"
 	"fastcoalesce/internal/obs"
 	"fastcoalesce/internal/regalloc"
 	"fastcoalesce/internal/ssa"
@@ -78,6 +74,11 @@ func (a Algo) String() string {
 	}
 	return fmt.Sprintf("Algo(%d)", int(a))
 }
+
+// FoldsCopies reports whether the pipeline builds SSA with copy folding
+// (Standard, New). The Briggs pipelines build without it, because φ-web
+// joining needs the copies in place to discover webs.
+func (a Algo) FoldsCopies() bool { return a == Standard || a == New }
 
 // Algos lists all pipelines in table order.
 var Algos = []Algo{Standard, New, Briggs, BriggsStar}
@@ -154,14 +155,6 @@ type Config struct {
 	Algo    Algo
 	Flavor  ssa.Flavor // SSA flavor; the zero value is Pruned
 	Workers int        // worker-pool size; <= 0 means runtime.GOMAXPROCS(0)
-
-	// DomSolver and LiveSolver select the substrate algorithms (dominators
-	// and liveness) for every pipeline stage that runs them. Both choices
-	// are output-invariant — the analyses have unique answers, pinned by
-	// the differential tests — so they are deliberately absent from the
-	// cache fingerprint, like Check/Obs/Workers.
-	DomSolver  dom.Solver
-	LiveSolver liveness.Solver
 
 	// NoScratch disables per-worker Scratch reuse, making every function
 	// allocate cold — the baseline for the allocation experiments.
@@ -374,24 +367,11 @@ func compileOne(idx int, j Job, cfg Config, sc *Scratch) Result {
 		}
 	}
 
-	fold := cfg.Algo == Standard || cfg.Algo == New
 	t1 := time.Now()
-	var st *ssa.Stats
-	if f.CountPhis() > 0 {
-		// Already in SSA form (hand-written .ir input): skip construction,
-		// just prepare for destruction, as cmd/coalesce does.
-		if !fold {
-			res.Err = fmt.Errorf("%s: %v rebuilds SSA without folding and cannot take SSA-form input", res.Name, cfg.Algo)
-			return res
-		}
-		f.SplitCriticalEdges()
-		st = &ssa.Stats{}
-	} else {
-		st = ssa.Build(f, ssa.Options{
-			Flavor: cfg.Flavor, FoldCopies: fold,
-			DomSolver: cfg.DomSolver, LiveSolver: cfg.LiveSolver,
-			Scratch: sc.ssaScratch(), Obs: tr,
-		})
+	st, err := BuildSSA(f, cfg.Algo, cfg.Flavor, sc)
+	if err != nil {
+		res.Err = fmt.Errorf("%s: %w", res.Name, err)
+		return res
 	}
 	m.Build = time.Since(t1)
 	m.PhisInserted = st.PhisInserted
@@ -406,54 +386,17 @@ func compileOne(idx int, j Job, cfg Config, sc *Scratch) Result {
 	if cfg.Check != analysis.None {
 		ssaSnap = f.Clone()
 	}
-	var nameMap []ir.VarID
 
 	t2 := time.Now()
-	switch cfg.Algo {
-	case Standard:
-		tr.Begin(obs.PhasePhiInstantiate)
-		ds := ssa.DestructStandard(f)
-		tr.End(obs.PhasePhiInstantiate)
-		m.CopiesInserted = ds.CopiesInserted
-		// Standard never renames: the identity map (nil) is correct.
-	case New:
-		opt := core.Options{
-			Dom: st.Dom, RecordNameMap: cfg.Check != analysis.None, Obs: tr,
-			DomSolver: cfg.DomSolver, LiveSolver: cfg.LiveSolver,
-		}
-		var cs *core.Stats
-		if csc := sc.coreScratch(); csc != nil {
-			cs = core.CoalesceScratch(f, opt, csc)
-		} else {
-			cs = core.Coalesce(f, opt)
-		}
-		m.CopiesInserted = cs.CopiesInserted
-		m.CopiesCoalesced = cs.InitialUnions
-		m.LivenessVisits += cs.LivenessVisits
-		m.DomRecomputes += cs.DomRecomputes
-		nameMap = cs.NameMap
-	case Briggs, BriggsStar:
-		joinMap := ifgraph.JoinPhiWebs(f)
-		// JoinPhiWebs only renames; the CFG is unchanged since the SSA
-		// build, so its dominator tree serves the loop-depth query.
-		depth := st.Dom.FindLoops().Depth
-		gs := ifgraph.Coalesce(f, ifgraph.Options{
-			Improved:      cfg.Algo == BriggsStar,
-			Depth:         depth,
-			RecordNameMap: cfg.Check != analysis.None,
-		})
-		m.CopiesCoalesced = gs.CopiesCoalesced
-		if cfg.Check != analysis.None {
-			// Compose the two renamings: SSA name → φ-web rep → final name.
-			nameMap = joinMap
-			for v := range nameMap {
-				nameMap[v] = gs.NameMap[nameMap[v]]
-			}
-		}
-	default:
-		res.Err = fmt.Errorf("driver: unknown algorithm %v", cfg.Algo)
+	d, err := Destruct(f, cfg.Algo, st, cfg.Check != analysis.None, sc)
+	if err != nil {
+		res.Err = err
 		return res
 	}
+	m.CopiesInserted = d.CopiesInserted
+	m.CopiesCoalesced = d.CopiesCoalesced
+	m.LivenessVisits += d.LivenessVisits
+	m.DomRecomputes += d.DomRecomputes
 	m.Destruct = time.Since(t2)
 	m.StaticCopies = f.CountCopies()
 
@@ -476,9 +419,7 @@ func compileOne(idx int, j Job, cfg Config, sc *Scratch) Result {
 			preAlloc = f.Clone()
 		}
 		t := time.Now()
-		ra, raErr := regalloc.AllocateScratch(f, regalloc.Options{
-			K: cfg.RegallocK, DomSolver: cfg.DomSolver, LiveSolver: cfg.LiveSolver, Obs: tr,
-		}, sc.regallocScratch())
+		ra, raErr := regalloc.AllocateScratch(f, regalloc.Options{K: cfg.RegallocK, Obs: tr}, sc.regallocScratch())
 		if raErr != nil {
 			if ra != nil {
 				m.Spills, m.Reloads = ra.SpilledVars, ra.Reloads
@@ -542,7 +483,7 @@ func compileOne(idx int, j Job, cfg Config, sc *Scratch) Result {
 			Algo:    cfg.Algo.String(),
 			SSA:     ssaSnap,
 			Out:     out,
-			NameMap: nameMap,
+			NameMap: d.NameMap,
 		}
 		res.Report = analysis.RunAll(unit, cfg.Check)
 		tr.End(obs.PhaseCheck)

@@ -52,8 +52,7 @@ func newBatchMetrics(cfg Config) batchMetrics {
 		visits: reg.Counter("fastcoalesce_liveness_visits_total",
 			"Block evaluations by the worklist liveness solver.", algo),
 		domruns: reg.Counter("fastcoalesce_dom_recomputes_total",
-			"Dominator-tree computations, labeled by the selected solver.",
-			algo, obs.L("solver", cfg.DomSolver.String())),
+			"Dominator-tree computations.", algo),
 		static: reg.Histogram("fastcoalesce_static_copies",
 			"Copy instructions left per compiled function.",
 			obs.Pow2Buckets(0, 12), algo),

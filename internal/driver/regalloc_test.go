@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"fastcoalesce/internal/cache"
-	"fastcoalesce/internal/dom"
 	"fastcoalesce/internal/driver"
 	"fastcoalesce/internal/obs"
 )
@@ -139,29 +138,5 @@ func TestRegallocOffLeavesNoTrace(t *testing.T) {
 	}
 	if strings.Contains(sb.String(), "fastcoalesce_regalloc_spills_total") {
 		t.Error("allocator series registered with the allocator off")
-	}
-}
-
-// TestRegallocSolverInvariance extends the substrate-solver invariance
-// guarantee over the allocator: the spill decisions weight costs by
-// dominator-derived frequencies, so both solver choices must produce
-// byte-identical allocated code.
-func TestRegallocSolverInvariance(t *testing.T) {
-	jobs := kernelJobs(t)
-	want := ""
-	for _, ds := range []dom.Solver{dom.CHK, dom.SemiNCA} {
-		got, snap := driver.Run(jobs, driver.Config{
-			Algo: driver.New, Workers: 2, RegallocK: 6, DomSolver: ds,
-		})
-		if snap.Errors != 0 {
-			t.Fatalf("%v: errors=%d", ds, snap.Errors)
-		}
-		if want == "" {
-			want = render(t, got)
-			continue
-		}
-		if render(t, got) != want {
-			t.Errorf("allocated output differs under domsolver=%v", ds)
-		}
 	}
 }

@@ -25,9 +25,8 @@
 // the construct is intentional — typically a deliberately cold path
 // inside an annotated function.
 //
-// The doc-transcript flag check that used to live in
-// internal/obs/docscheck is absorbed here as DocFlags; the docscheck
-// command delegates to it.
+// A module-level check, DocFlags, keeps the documentation's shell
+// transcripts in step with the flags each command declares.
 //
 // cmd/fclint is the command-line driver.
 package lint

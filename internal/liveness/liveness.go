@@ -37,8 +37,6 @@
 package liveness
 
 import (
-	"fmt"
-
 	"fastcoalesce/internal/bitset"
 	"fastcoalesce/internal/ir"
 	"fastcoalesce/internal/reuse"
@@ -58,7 +56,7 @@ const (
 	Sparse
 )
 
-// String returns the flag spelling of the solver.
+// String returns the solver's name.
 func (s Solver) String() string {
 	switch s {
 	case Worklist:
@@ -69,19 +67,6 @@ func (s Solver) String() string {
 		return "sparse"
 	}
 	return "unknown"
-}
-
-// ParseSolver parses a -livesolver flag value.
-func ParseSolver(s string) (Solver, error) {
-	switch s {
-	case "worklist":
-		return Worklist, nil
-	case "round-robin", "roundrobin":
-		return RoundRobin, nil
-	case "sparse":
-		return Sparse, nil
-	}
-	return Worklist, fmt.Errorf("unknown liveness solver %q (want worklist, round-robin, or sparse)", s)
 }
 
 // ComputeWith runs the selected solver on sc. See the Compute*Scratch

@@ -146,22 +146,4 @@ func TestComputeWithDispatch(t *testing.T) {
 	}
 }
 
-func TestParseLivenessSolver(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Solver
-	}{{"worklist", Worklist}, {"round-robin", RoundRobin}, {"roundrobin", RoundRobin}, {"sparse", Sparse}} {
-		got, err := ParseSolver(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseSolver(%q) = %v, %v", tc.in, got, err)
-		}
-		if got.String() == "unknown" {
-			t.Errorf("Solver %d has no String", got)
-		}
-	}
-	if _, err := ParseSolver("dense"); err == nil {
-		t.Error("ParseSolver accepted junk")
-	}
-}
-
 func BenchmarkLivenessSparse(b *testing.B) { benchLiveness(b, ComputeSparseScratch) }

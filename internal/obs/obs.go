@@ -57,10 +57,8 @@ type Phase uint8
 // The phases.
 const (
 	PhaseParse          Phase = iota // source → IR (lang or ir text)
-	PhaseDom                         // dominator tree + frontiers (CHK solver)
-	PhaseDomSNCA                     // dominator tree + frontiers (SEMI-NCA solver)
-	PhaseLiveness                    // live-variable analysis (worklist/round-robin)
-	PhaseLivenessSparse              // live-variable analysis (sparse per-variable solver)
+	PhaseDom                         // dominator tree + frontiers
+	PhaseLiveness                    // live-variable analysis
 	PhaseSSABuild                    // φ insertion + renaming (excl. dom/liveness sub-spans)
 	PhasePhiInstantiate              // standard φ-node instantiation (DestructStandard)
 	PhaseCoalesce1                   // step 1: union φ resources (§3.1)
@@ -79,7 +77,7 @@ const (
 )
 
 var phaseNames = [NumPhases]string{
-	"parse", "dom", "dom-snca", "liveness", "liveness-sparse",
+	"parse", "dom", "liveness",
 	"ssa-build", "phi-instantiate",
 	"coalesce-union", "coalesce-forest", "coalesce-local",
 	"rewrite", "verify", "check", "cache",

@@ -45,9 +45,9 @@ func (fr Fragment) Len() int32 {
 // fall out for free: a variable's death point is the position where the
 // backward walk first sees it, and its definition (or the block entry)
 // closes the interval.
-func (sc *Scratch) build(f *ir.Func, opt Options) (maxPressure int) {
+func (sc *Scratch) build(f *ir.Func) (maxPressure int) {
 	nv := f.NumVars()
-	li := liveness.ComputeWith(f, &sc.live, opt.LiveSolver)
+	li := liveness.ComputeScratch(f, &sc.live)
 
 	sc.adj = reuse.Truncated(sc.adj, nv)
 	triBits := nv * (nv - 1) / 2
@@ -132,7 +132,7 @@ func (sc *Scratch) build(f *ir.Func, opt Options) (maxPressure int) {
 	// estimate (loop headers ×10), replacing the cruder 10^depth weight —
 	// a conditionally executed arm inside a loop now costs less than the
 	// always-executed latch.
-	sc.dom.RecomputeWith(f, opt.DomSolver)
+	sc.dom.Recompute(f)
 	freq := sc.dom.EstimateFrequenciesInto(&sc.freq)
 	cost := reuse.Zeroed(sc.cost, nv)
 	sc.cost = cost

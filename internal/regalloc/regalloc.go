@@ -21,7 +21,6 @@ package regalloc
 import (
 	"fmt"
 
-	"fastcoalesce/internal/dom"
 	"fastcoalesce/internal/ifgraph"
 	"fastcoalesce/internal/ir"
 	"fastcoalesce/internal/liveness"
@@ -35,12 +34,6 @@ type Options struct {
 
 	// MaxRounds bounds the build/spill iteration (safety net; 0 = 32).
 	MaxRounds int
-
-	// DomSolver and LiveSolver select the substrate algorithms for the
-	// spill-cost frequencies and the interference liveness. Both are
-	// output-invariant, exactly as in driver.Config.
-	DomSolver  dom.Solver
-	LiveSolver liveness.Solver
 
 	// Obs, when non-nil, records regalloc-build / regalloc-color /
 	// regalloc-spill spans per round. A nil tracer is a free no-op.
@@ -107,7 +100,7 @@ func AllocateScratch(f *ir.Func, opt Options, sc *Scratch) (*Result, error) {
 	for {
 		res.Rounds++
 		tr.Begin(obs.PhaseRegallocBuild)
-		pressure := sc.build(f, opt)
+		pressure := sc.build(f)
 		tr.End(obs.PhaseRegallocBuild)
 		if res.Rounds == 1 {
 			res.MaxPressure = pressure
