@@ -24,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -206,9 +207,9 @@ func runScaling() error {
 	fmt.Println("Scaling study: destruction-phase time vs program size (best of 3)")
 	fmt.Println("(phase time excludes SSA construction/liveness shared by all pipelines,")
 	fmt.Println(" matching the span of the paper's O(n α(n)) claim, §3.7)")
-	fmt.Printf("%8s %8s %12s %12s %12s %12s %12s %8s %12s %12s %8s\n",
-		"stmts", "blocks", "Standard(s)", "New(s)", "New-algo(s)", "Briggs(s)", "Briggs*(s)", "B*/New",
-		"B matrix(B)", "B* matrix(B)", "B/B*")
+	fmt.Printf("%8s %8s %12s %12s %12s %12s %12s %12s %8s %12s %12s %8s %10s\n",
+		"stmts", "blocks", "Standard(s)", "New(s)", "New-algo(s)", "New e2e(s)", "Briggs(s)", "Briggs*(s)", "B*/New",
+		"B matrix(B)", "B* matrix(B)", "B/B*", "live-in")
 	for _, stmts := range bench.ScalingLadder {
 		f, err := bench.ScalingProgram(stmts)
 		if err != nil {
@@ -218,17 +219,55 @@ func runScaling() error {
 		phase := func(algo driver.Algo) time.Duration { return best[algo].PhaseDuration }
 		matrixB := best[driver.Briggs].GraphStats.TotalMatrixBytes()
 		matrixBStar := best[driver.BriggsStar].GraphStats.TotalMatrixBytes()
-		fmt.Printf("%8d %8d %12.6f %12.6f %12.6f %12.6f %12.6f %8.2f %12d %12d %8.1f\n",
+		fmt.Printf("%8d %8d %12.6f %12.6f %12.6f %12.6f %12.6f %12.6f %8.2f %12d %12d %8.1f %10d\n",
 			stmts, f.NumBlocks(),
 			phase(driver.Standard).Seconds(), phase(driver.New).Seconds(),
-			best[driver.New].CoreStats.AlgoTime.Seconds(),
+			best[driver.New].CoreStats.AlgoTime.Seconds(), best[driver.New].Duration.Seconds(),
 			phase(driver.Briggs).Seconds(), phase(driver.BriggsStar).Seconds(),
 			float64(phase(driver.BriggsStar))/float64(phase(driver.New)),
-			matrixB, matrixBStar, float64(matrixB)/float64(matrixBStar))
+			matrixB, matrixBStar, float64(matrixB)/float64(matrixBStar),
+			best[driver.New].CoreStats.LivenessVisits)
 	}
 	fmt.Println("\nNew-algo is the four coalescing steps alone (the O(n α(n)) span);")
-	fmt.Println("New additionally recomputes liveness (it reuses the SSA build's")
-	fmt.Println("dominator tree), which dominates at scale.")
+	fmt.Println("New adds the coalescer's liveness solve (it reuses the SSA build's")
+	fmt.Println("dominator tree). New e2e is SSA construction plus New. Live-in")
+	fmt.Println("is Σ_b |In(b)|, the live-in pairs of the SSA form New coalesces.")
+
+	// The big-functions ladder, New and Standard only: Briggs* needs
+	// GiBs at these sizes.
+	fmt.Println("\nBig-function ladder: end-to-end build+destruct (best of 3)")
+	fmt.Printf("%8s %8s %8s %10s %12s %12s %12s\n",
+		"stmts", "blocks", "instrs", "live-in", "Standard(s)", "New e2e(s)", "New-algo(s)")
+	var instrs, pairs, newS []float64
+	for _, stmts := range []int{3200, 6400, 12800} {
+		f, err := bench.ScalingProgram(stmts)
+		if err != nil {
+			return err
+		}
+		var std, nw *bench.PipelineResult
+		for rep := 0; rep < 3; rep++ {
+			if r := bench.RunPipeline(f, driver.Standard); std == nil || r.Duration < std.Duration {
+				std = r
+			}
+			if r := bench.RunPipeline(f, driver.New); nw == nil || r.Duration < nw.Duration {
+				nw = r
+			}
+		}
+		fmt.Printf("%8d %8d %8d %10d %12.6f %12.6f %12.6f\n", stmts, f.NumBlocks(), f.NumInstrs(),
+			nw.CoreStats.LivenessVisits, std.Duration.Seconds(), nw.Duration.Seconds(),
+			nw.CoreStats.AlgoTime.Seconds())
+		instrs = append(instrs, float64(f.NumInstrs()))
+		pairs = append(pairs, float64(nw.CoreStats.LivenessVisits))
+		newS = append(newS, nw.Duration.Seconds())
+	}
+	slope := func(y []float64) float64 {
+		n := len(y) - 1
+		return math.Log(y[n]/y[0]) / math.Log(instrs[n]/instrs[0])
+	}
+	fmt.Printf("log-log slope vs instructions: New e2e %.2f, live-in %.2f\n", slope(newS), slope(pairs))
+	fmt.Println("The generator folds every declared scalar into the return value, so")
+	fmt.Println("each stays live to the end: the answer liveness must write grows")
+	fmt.Println("superlinearly, and New's remaining slope is the size of that answer.")
 
 	// The Table 1 headline — the full graph wastes memory quadratically —
 	// shows in the copy-sparse regime: many names, few copies (the shape

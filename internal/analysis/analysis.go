@@ -5,13 +5,13 @@
 // The passes deliberately re-derive their facts instead of trusting the
 // code under test: dominance comes from a naive iterative bitset dataflow
 // (not internal/dom's CHK walk), the liveness cross-check replays the
-// analysis one variable at a time (not internal/liveness's bitset sweep),
+// analysis one variable at a time (not internal/liveness's solver),
 // and the coalescing auditor builds its own interference graph (not
 // internal/core/interfere.go or internal/ifgraph). The layering is:
 //
 //	structural        ir.Verify on both snapshots (shape only)
 //	StrictSSA         every use dominated by its unique def; φ form
-//	LivenessCrossCheck iterative dataflow vs naive per-variable recompute
+//	LivenessCrossCheck liveness solver vs naive per-variable recompute
 //	CoalescingSafety  no congruence class holds two interfering names
 //	TranslationValidate pre- vs post-destruction agreement under interp
 //

@@ -161,13 +161,12 @@ func TestLivenessCrossCheckCatchesCorruption(t *testing.T) {
 	u := &Unit{SSA: f}
 	info := liveness.Compute(f)
 
-	// Corrupt one bit of one live-in set.
-	var bi, v int
+	// Corrupt one live-in set: overwrite its smallest member with NoVar,
+	// which keeps the list sorted but drops the member.
 	found := false
-	for bi = range info.In {
-		if !info.In[bi].Empty() {
-			v = info.In[bi].Members()[0]
-			info.In[bi].Remove(v)
+	for bi := range f.Blocks {
+		if in := info.InOf(ir.BlockID(bi)); len(in) > 0 {
+			in[0] = ir.NoVar
 			found = true
 			break
 		}

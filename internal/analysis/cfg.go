@@ -15,7 +15,7 @@ type facts struct {
 	defBlock []ir.BlockID   // single defining block per var (NoBlock: none)
 	defIdx   []int32        // instruction index of that def
 	defCount []int32        // number of defs seen per var
-	live     *liveness.Info // iterative liveness of the SSA snapshot
+	live     *liveness.Info // liveness of the SSA snapshot
 }
 
 // reachable returns (computing on first use) the set of blocks reachable
@@ -124,7 +124,7 @@ func (u *Unit) defSites() ([]ir.BlockID, []int32, []int32) {
 	return db, di, dc
 }
 
-// liveInfo returns (computing on first use) the iterative liveness of the
+// liveInfo returns (computing on first use) the liveness of the
 // SSA snapshot. LivenessCrossCheck independently validates this very
 // result, which is what lets the other passes consume it.
 func (u *Unit) liveInfo() *liveness.Info {

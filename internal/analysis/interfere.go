@@ -433,7 +433,10 @@ func (u *Unit) buildInterference() (*interGraph, *unionfind.UF) {
 	g := newInterGraph(nv)
 	cur := bitset.New(nv)
 	for _, b := range f.Blocks {
-		cur.CopyFrom(live.Out[b.ID])
+		cur.Clear()
+		for _, v := range live.OutOf(b.ID) {
+			cur.Add(int(v))
+		}
 		nphi := b.NumPhis()
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := &b.Instrs[i]

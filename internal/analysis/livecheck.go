@@ -8,7 +8,7 @@ import (
 	"fastcoalesce/internal/liveness"
 )
 
-// livenessPass validates internal/liveness's iterative bitset result
+// livenessPass validates internal/liveness's result
 // against a naive recompute that walks the CFG one variable at a time.
 // The two implementations share nothing but the φ conventions (a φ's def
 // is at its block top; its i-th argument is used on the edge from the
@@ -40,8 +40,8 @@ func (livenessPass) Run(u *Unit, rep *Report) {
 // returns a diagnostic for every reachable block whose live-in or
 // live-out membership disagrees with info. It is exported so tests can
 // feed it a deliberately corrupted Info. Unreachable blocks are not
-// compared: the iterative analysis leaves them empty by construction,
-// while a use inside one genuinely propagates among unreachable blocks.
+// compared: the solver leaves them empty by construction, while a use
+// inside one genuinely propagates among unreachable blocks.
 func CrossCheckLiveness(u *Unit, f *ir.Func, info *liveness.Info) []Diag {
 	var diags []Diag
 	reach := u.reachable()
@@ -62,17 +62,17 @@ func CrossCheckLiveness(u *Unit, f *ir.Func, info *liveness.Info) []Diag {
 			continue
 		}
 		for v := 0; v < f.NumVars(); v++ {
-			iterIn, naivIn := info.In[bi].Has(v), naiveIn[bi].Has(v)
+			iterIn, naivIn := info.LiveIn(ir.BlockID(bi), ir.VarID(v)), naiveIn[bi].Has(v)
 			if iterIn != naivIn {
 				diags = append(diags, u.diag("liveness-crosscheck", ir.BlockID(bi), -1,
 					[]ir.VarID{ir.VarID(v)}, "",
-					fmt.Sprintf("live-in disagreement: iterative=%v naive=%v", iterIn, naivIn)))
+					fmt.Sprintf("live-in disagreement: solver=%v naive=%v", iterIn, naivIn)))
 			}
-			iterOut, naivOut := info.Out[bi].Has(v), naiveOut[bi].Has(v)
+			iterOut, naivOut := info.LiveOut(ir.BlockID(bi), ir.VarID(v)), naiveOut[bi].Has(v)
 			if iterOut != naivOut {
 				diags = append(diags, u.diag("liveness-crosscheck", ir.BlockID(bi), -1,
 					[]ir.VarID{ir.VarID(v)}, "",
-					fmt.Sprintf("live-out disagreement: iterative=%v naive=%v", iterOut, naivOut)))
+					fmt.Sprintf("live-out disagreement: solver=%v naive=%v", iterOut, naivOut)))
 			}
 		}
 	}

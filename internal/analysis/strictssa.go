@@ -100,12 +100,10 @@ func (strictSSAPass) Run(u *Unit, rep *Report) {
 	}
 
 	// Entry-block liveness: strictness means live-in(b0) is empty after
-	// the restricted initializations. The iterative result is checked
+	// the restricted initializations. The solver's result is checked
 	// here; LivenessCrossCheck validates that result independently.
-	entryIn := u.liveInfo().In[f.Entry]
-	if !entryIn.Empty() {
-		var vars []ir.VarID
-		entryIn.ForEach(func(v int) { vars = append(vars, ir.VarID(v)) })
+	if entryIn := u.liveInfo().InOf(f.Entry); len(entryIn) > 0 {
+		vars := append([]ir.VarID(nil), entryIn...)
 		rep.Diags = append(rep.Diags, u.diag("strict-ssa", f.Entry, -1, vars, "",
 			"variables live into the entry block (strictness not enforced)"))
 	}

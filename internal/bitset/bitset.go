@@ -1,12 +1,9 @@
-// Package bitset provides a dense bit set used by the dataflow analyses
-// and the interference graph (the liveness sets of §3.1's filters and the
-// triangular interference matrix of §4 both build on it).
+// Package bitset provides a dense bit set used by the interference graph
+// (the triangular interference matrix of §4 builds on it) and by the
+// independent checks of internal/analysis.
 //
 // Concurrency: a Set is plain memory with no internal locking — safe for
-// concurrent reads, not for concurrent mutation. An Arena is a
-// single-goroutine object; the batch driver keeps one per worker inside
-// its Scratch so that the liveness sets of a worker's second function
-// reuse the first function's backing buffer instead of allocating.
+// concurrent reads, not for concurrent mutation.
 package bitset
 
 import "math/bits"
@@ -138,36 +135,4 @@ func (s Set) Members() []int {
 	out := make([]int, 0, s.Count())
 	s.ForEach(func(i int) { out = append(out, i) })
 	return out
-}
-
-// Arena carves Sets out of one reusable backing buffer. Reset recycles
-// every Set previously handed out, so a fixpoint analysis that allocates
-// a few sets per block reaches steady-state zero allocation when run
-// repeatedly over same-sized inputs.
-//
-// Sets handed out before a Reset must not be used afterwards: New may
-// return aliasing memory. An Arena must not be shared between goroutines.
-type Arena struct {
-	buf []uint64
-	off int
-}
-
-// Reset recycles the arena: every Set previously returned by New is
-// invalidated and its memory becomes available again.
-func (a *Arena) Reset() { a.off = 0 }
-
-// New returns an empty Set able to hold members in [0, n), carved from
-// the arena. When the buffer is exhausted a larger one is allocated; Sets
-// already handed out keep pointing into the old buffer and stay valid
-// until the next Reset.
-func (a *Arena) New(n int) Set {
-	words := (n + 63) / 64
-	if a.off+words > len(a.buf) {
-		a.buf = make([]uint64, max(2*len(a.buf), words, 1024))
-		a.off = 0
-	}
-	s := Set(a.buf[a.off : a.off+words])
-	a.off += words
-	s.Clear()
-	return s
 }

@@ -19,6 +19,13 @@ import (
 func interferenceOracle(f *ir.Func) map[[2]ir.VarID]bool {
 	li := liveness.Compute(f)
 	nv := f.NumVars()
+	set := func(vars []ir.VarID) bitset.Set {
+		s := bitset.New(nv)
+		for _, v := range vars {
+			s.Add(int(v))
+		}
+		return s
+	}
 	out := map[[2]ir.VarID]bool{}
 	markSet := func(s bitset.Set) {
 		vars := s.Members()
@@ -34,15 +41,15 @@ func interferenceOracle(f *ir.Func) map[[2]ir.VarID]bool {
 	}
 	for _, b := range f.Blocks {
 		// Point after the φ prefix: live-in plus the φ definitions.
-		entry := li.In[b.ID].Clone()
+		entry := set(li.InOf(b.ID))
 		for j := 0; j < b.NumPhis(); j++ {
 			entry.Add(int(b.Instrs[j].Def))
 		}
 		markSet(entry)
 		// Edge point: live-out of the block (includes φ args it feeds).
-		markSet(li.Out[b.ID])
+		live := set(li.OutOf(b.ID))
+		markSet(live)
 		// Intra-block points, walking backward from live-out.
-		live := li.Out[b.ID].Clone()
 		for i := len(b.Instrs) - 1; i >= b.NumPhis(); i-- {
 			in := &b.Instrs[i]
 			if in.Op.HasDef() {
@@ -54,7 +61,6 @@ func interferenceOracle(f *ir.Func) map[[2]ir.VarID]bool {
 			markSet(live)
 		}
 	}
-	_ = nv
 	return out
 }
 

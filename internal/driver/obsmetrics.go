@@ -50,7 +50,7 @@ func newBatchMetrics(cfg Config) batchMetrics {
 		coalesced: reg.Counter("fastcoalesce_copies_coalesced_total",
 			"Copies eliminated (unions / graph coalesces).", algo),
 		visits: reg.Counter("fastcoalesce_liveness_visits_total",
-			"Block evaluations by the worklist liveness solver.", algo),
+			"Live-in (variable, block) pairs found by the liveness solver.", algo),
 		domruns: reg.Counter("fastcoalesce_dom_recomputes_total",
 			"Dominator-tree computations.", algo),
 		static: reg.Histogram("fastcoalesce_static_copies",

@@ -42,7 +42,7 @@ func BuildSSA(f *ir.Func, algo Algo, flavor ssa.Flavor, sc *Scratch) (*ssa.Stats
 type Destruction struct {
 	CopiesInserted  int // copies placed to replace φs (Standard, New)
 	CopiesCoalesced int // copies removed by coalescing (New, Briggs, Briggs*)
-	LivenessVisits  int // liveness block visits during destruction (New)
+	LivenessVisits  int // live-in pairs the liveness solver found during destruction (New)
 	DomRecomputes   int // dominator computations during destruction (New)
 
 	Standard *ssa.DestructStats     // Standard

@@ -122,7 +122,10 @@ func Build(f *ir.Func, live *liveness.Info, opt BuildOptions) *Graph {
 
 	cur := bitset.New(f.NumVars())
 	for _, b := range f.Blocks {
-		cur.CopyFrom(live.Out[b.ID])
+		cur.Clear()
+		for _, v := range live.OutOf(b.ID) {
+			cur.Add(int(v))
+		}
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := &b.Instrs[i]
 			if in.Op == ir.OpPhi {

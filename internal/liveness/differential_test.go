@@ -1,12 +1,11 @@
 package liveness
 
-// Differential tests between the two solvers: the worklist solver
-// (ComputeScratch, the default) and the retained round-robin solver
-// (ComputeRoundRobinScratch, the oracle). Live-variable analysis has a
-// unique least fixpoint, so the two must agree bit-for-bit on every
-// (block, variable) point — including irreducible loops, where visit
-// order differs most, and blocks unreachable from the entry, which both
-// solvers must leave empty.
+// Differential tests between the two dense oracles (dense_test.go), the
+// worklist and the round-robin sweep, and the production solver.
+// Live-variable analysis has a unique least fixpoint, so all three must
+// agree on every (block, variable) point — including irreducible loops,
+// where visit order differs most, and blocks unreachable from the entry,
+// which every solver must leave empty.
 
 import (
 	"math/rand"
@@ -15,23 +14,16 @@ import (
 	"fastcoalesce/internal/ir"
 )
 
-// assertSameInfo compares the two solvers' results on f point by point.
+// assertSameInfo requires the two oracles to agree on f and the
+// production solver to match them.
 func assertSameInfo(t *testing.T, f *ir.Func, label string) {
 	t.Helper()
-	var wsc, rsc Scratch
-	wl := ComputeScratch(f, &wsc)
-	rr := ComputeRoundRobinScratch(f, &rsc)
-	for b := range f.Blocks {
-		for v := 0; v < f.NumVars(); v++ {
-			if wl.In[b].Has(v) != rr.In[b].Has(v) {
-				t.Fatalf("%s: LiveIn(b%d, %s): worklist %v, round-robin %v\n%s",
-					label, b, f.VarName(ir.VarID(v)), wl.In[b].Has(v), rr.In[b].Has(v), f)
-			}
-			if wl.Out[b].Has(v) != rr.Out[b].Has(v) {
-				t.Fatalf("%s: LiveOut(b%d, %s): worklist %v, round-robin %v\n%s",
-					label, b, f.VarName(ir.VarID(v)), wl.Out[b].Has(v), rr.Out[b].Has(v), f)
-			}
-		}
+	if d := diffOracles(f); d != "" {
+		t.Fatalf("%s: oracles disagree: %s\n%s", label, d, f)
+	}
+	var ds denseScratch
+	if d := diffSets(f, Compute(f), ds.worklist(f)); d != "" {
+		t.Fatalf("%s: %s\n%s", label, d, f)
 	}
 }
 
@@ -104,9 +96,9 @@ func TestWorklistVsRoundRobinUnreachable(t *testing.T) {
 		var sc Scratch
 		li := ComputeScratch(f, &sc)
 		for b := range f.Blocks {
-			if sc.state[b] == 0 {
+			if sc.reach[b] != sc.epoch {
 				sawUnreachable = true
-				if !li.In[b].Empty() || !li.Out[b].Empty() {
+				if len(li.InOf(ir.BlockID(b))) != 0 || len(li.OutOf(ir.BlockID(b))) != 0 {
 					t.Fatalf("trial %d: unreachable b%d has non-empty sets\n%s", trial, b, f)
 				}
 			}
@@ -158,8 +150,8 @@ func TestWorklistIrreducible(t *testing.T) {
 }
 
 // TestComputeScratchZeroAlloc pins the zero-allocation contract of the
-// worklist solver: once the Scratch has grown to a function's size,
-// recomputing liveness for it allocates nothing.
+// solver: once the Scratch has grown to a function's size, recomputing
+// liveness for it allocates nothing.
 func TestComputeScratchZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(5150))
 	f := randomCFGWithPhis(rng, 40, 12)
@@ -170,24 +162,25 @@ func TestComputeScratchZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("warm ComputeScratch allocates %v objects per run, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() {
-		ComputeRoundRobinScratch(f, &sc)
-	}); n != 0 {
-		t.Fatalf("warm ComputeRoundRobinScratch allocates %v objects per run, want 0", n)
-	}
 }
 
-func benchLiveness(b *testing.B, compute func(*ir.Func, *Scratch) *Info) {
+func benchLiveness(b *testing.B, solve func(*ir.Func)) {
 	rng := rand.New(rand.NewSource(8080))
 	f := randomCFGWithPhis(rng, 120, 24)
-	var sc Scratch
-	compute(f, &sc)
+	solve(f)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		compute(f, &sc)
+		solve(f)
 	}
 }
 
-func BenchmarkLivenessWorklist(b *testing.B)   { benchLiveness(b, ComputeScratch) }
-func BenchmarkLivenessRoundRobin(b *testing.B) { benchLiveness(b, ComputeRoundRobinScratch) }
+func BenchmarkLiveness(b *testing.B) {
+	var sc Scratch
+	benchLiveness(b, func(f *ir.Func) { ComputeScratch(f, &sc) })
+}
+
+func BenchmarkLivenessDenseOracle(b *testing.B) {
+	var ds denseScratch
+	benchLiveness(b, func(f *ir.Func) { ds.worklist(f) })
+}

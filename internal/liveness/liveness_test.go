@@ -18,7 +18,7 @@ func TestStraightLine(t *testing.T) {
 	if li.LiveIn(0, x) || li.LiveIn(0, y) {
 		t.Fatal("nothing is live-in to the entry")
 	}
-	if !li.Out[0].Empty() {
+	if len(li.OutOf(0)) != 0 {
 		t.Fatal("nothing is live-out of a returning block")
 	}
 }

@@ -1,6 +1,6 @@
 package liveness
 
-// Cross-checks the bitset dataflow against an independent formulation:
+// Cross-checks the solver against an independent formulation:
 // per-variable backward propagation from each use site (Appel's
 // "live range by walking back from uses"), over randomized CFGs with
 // φ-nodes. The two algorithms share no code, so agreement on thousands of
@@ -159,13 +159,14 @@ func TestLivenessAgainstOracle(t *testing.T) {
 		for b := range f.Blocks {
 			for v := 0; v < f.NumVars(); v++ {
 				points++
-				if li.In[b].Has(v) != oin[b][v] {
+				bid, vid := ir.BlockID(b), ir.VarID(v)
+				if li.LiveIn(bid, vid) != oin[b][v] {
 					t.Fatalf("trial %d: LiveIn(b%d, %s) = %v, oracle %v\n%s",
-						trial, b, f.VarName(ir.VarID(v)), li.In[b].Has(v), oin[b][v], f)
+						trial, b, f.VarName(vid), li.LiveIn(bid, vid), oin[b][v], f)
 				}
-				if li.Out[b].Has(v) != oout[b][v] {
+				if li.LiveOut(bid, vid) != oout[b][v] {
 					t.Fatalf("trial %d: LiveOut(b%d, %s) = %v, oracle %v\n%s",
-						trial, b, f.VarName(ir.VarID(v)), li.Out[b].Has(v), oout[b][v], f)
+						trial, b, f.VarName(vid), li.LiveOut(bid, vid), oout[b][v], f)
 				}
 			}
 		}

@@ -1,8 +1,6 @@
 package regalloc
 
 import (
-	"math/bits"
-
 	"fastcoalesce/internal/ir"
 	"fastcoalesce/internal/liveness"
 	"fastcoalesce/internal/reuse"
@@ -66,14 +64,10 @@ func (sc *Scratch) build(f *ir.Func) (maxPressure int) {
 	for _, b := range f.Blocks {
 		m := len(b.Instrs)
 		list := sc.liveList[:0]
-		for wi, w := range li.Out[b.ID] {
-			for w != 0 {
-				v := wi<<6 + bits.TrailingZeros64(w)
-				w &= w - 1
-				livePos[v] = int32(len(list))
-				death[v] = int32(m)
-				list = append(list, ir.VarID(v))
-			}
+		for _, v := range li.OutOf(b.ID) {
+			livePos[v] = int32(len(list))
+			death[v] = int32(m)
+			list = append(list, v)
 		}
 		if len(list) > maxPressure {
 			maxPressure = len(list)

@@ -21,6 +21,15 @@ func Slice[T any](s []T, n int) []T {
 	return make([]T, n, max(n, 2*cap(s)))
 }
 
+// Grown returns s emptied, with capacity for at least n elements, reusing
+// s's capacity when it suffices.
+func Grown[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:0]
+	}
+	return make([]T, 0, max(n, 2*cap(s)))
+}
+
 // Zeroed returns s with length n and every element set to the zero value.
 func Zeroed[T any](s []T, n int) []T {
 	s = Slice(s, n)

@@ -98,8 +98,8 @@ type Stats struct {
 	SSAVars       int // total variables after renaming
 
 	// LivenessVisits is the work performed by the liveness solver
-	// (liveness.Stats.Visits): block evaluations for the dense solvers,
-	// pair propagations for the sparse one.
+	// (liveness.Stats.Visits): the live-in (variable, block) pairs it
+	// found.
 	LivenessVisits int
 
 	// DomRecomputes is the number of dominator-tree computations Build
@@ -261,9 +261,9 @@ func Build(f *ir.Func, opt Options) *Stats {
 func enforceStrict(f *ir.Func, live *liveness.Info) int {
 	entry := f.Blocks[f.Entry]
 	var inits []ir.Instr
-	live.In[f.Entry].ForEach(func(v int) {
-		inits = append(inits, ir.Instr{Op: ir.OpConst, Def: ir.VarID(v), Const: 0})
-	})
+	for _, v := range live.InOf(f.Entry) {
+		inits = append(inits, ir.Instr{Op: ir.OpConst, Def: v, Const: 0})
+	}
 	if len(inits) == 0 {
 		return 0
 	}
