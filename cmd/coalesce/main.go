@@ -460,7 +460,7 @@ func runBatch(dir string, algo driver.Algo, workers int, stats bool, check analy
 		return err
 	}
 
-	results, snap := driver.Run(batchJobs, driver.Config{
+	results, fold, rep := driver.Run(batchJobs, driver.Config{
 		Algo: algo, Workers: workers, Check: check, Obs: rec, RegallocK: regallocK,
 		Cache: buildCache(cachemb, rec), Revalidate: check != analysis.None,
 	})
@@ -480,7 +480,7 @@ func runBatch(dir string, algo driver.Algo, workers int, stats bool, check analy
 	}
 	if stats {
 		fmt.Fprintln(out)
-		out.WriteString(snap.Table())
+		out.WriteString(fold.Table(rep, algo, regallocK))
 	}
 	err = closeRec()
 	if ferr := out.Flush(); err == nil && ferr != nil {
@@ -638,9 +638,10 @@ func runServe(dir string, algo driver.Algo, workers int, check analysis.Level, c
 	rep := driver.Serve(ctx, batchJobs, cfg, driver.ServeOptions{
 		Interval: interval,
 		Rounds:   rounds,
-		OnRound: func(round int, snap *driver.Snapshot) {
+		OnRound: func(round int, stats *driver.StreamStats, srep *driver.StreamReport) {
+			g := stats.Global()
 			fmt.Fprintf(out, "round %-4d functions %-4d errors %-3d skipped %-3d wall %v\n",
-				round, snap.Functions, snap.Errors, snap.Skipped, snap.Wall.Round(time.Microsecond))
+				round, g.Functions(), g.Errors, g.Skipped, srep.Wall.Round(time.Microsecond))
 			out.Flush()
 		},
 	})

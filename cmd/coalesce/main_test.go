@@ -46,7 +46,7 @@ func testdataFuncs(t *testing.T) map[string]*ir.Func {
 func TestSingleFileMatchesDriver(t *testing.T) {
 	for name, f := range testdataFuncs(t) {
 		for _, algo := range driver.Algos {
-			res, _ := driver.Run([]driver.Job{{Name: name, Func: f}}, driver.Config{Algo: algo, Workers: 1})
+			res, _, _ := driver.Run([]driver.Job{{Name: name, Func: f}}, driver.Config{Algo: algo, Workers: 1})
 			var out bytes.Buffer
 			err := process(&out, f, algo, ssa.Pruned, false, false, false, false, "", analysis.Full, 0)
 			if res[0].Err != nil {

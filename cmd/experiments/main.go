@@ -244,15 +244,14 @@ func runScaling() error {
 		if err != nil {
 			return err
 		}
-		var std, nw *bench.PipelineResult
-		for rep := 0; rep < 3; rep++ {
-			if r := bench.RunPipeline(f, driver.Standard); std == nil || r.Duration < std.Duration {
-				std = r
-			}
-			if r := bench.RunPipeline(f, driver.New); nw == nil || r.Duration < nw.Duration {
-				nw = r
-			}
+		e2e := func(algo driver.Algo) *bench.PipelineResult {
+			r, _, _ := bestOf(3, func() (*bench.PipelineResult, time.Duration, error) {
+				r := bench.RunPipeline(f, algo)
+				return r, r.Duration, nil
+			})
+			return r
 		}
+		std, nw := e2e(driver.Standard), e2e(driver.New)
 		fmt.Printf("%8d %8d %8d %10d %12.6f %12.6f %12.6f\n", stmts, f.NumBlocks(), f.NumInstrs(),
 			nw.CoreStats.LivenessVisits, std.Duration.Seconds(), nw.Duration.Seconds(),
 			nw.CoreStats.AlgoTime.Seconds())
@@ -352,26 +351,18 @@ func runThroughput(repeat int, level analysis.Level) error {
 	}
 	base := 0.0
 	for _, workers := range ladder {
-		best := (*driver.Snapshot)(nil)
-		for rep := 0; rep < repeat; rep++ {
-			results, snap := driver.Run(jobs, driver.Config{Algo: driver.New, Workers: workers, Check: level})
-			for _, r := range results {
-				if r.Err != nil {
-					return r.Err
-				}
-				if r.Report != nil && r.Report.Failed() {
-					return fmt.Errorf("%s: audit findings:\n%s", r.Name, r.Report)
-				}
-			}
-			if best == nil || snap.Wall < best.Wall {
-				best = snap
-			}
+		g, wall, err := bestOf(repeat, func() (driver.FamilyAgg, time.Duration, error) {
+			return runJobs(jobs, driver.Config{Algo: driver.New, Workers: workers, Check: level}, true)
+		})
+		if err != nil {
+			return err
 		}
+		fps := g.FuncsPerSec(wall)
 		if base == 0 {
-			base = best.FuncsPerSec
+			base = fps
 		}
 		fmt.Printf("%8d %14v %14.1f %9.2fx\n",
-			workers, best.Wall.Round(time.Microsecond), best.FuncsPerSec, best.FuncsPerSec/base)
+			workers, wall.Round(time.Microsecond), fps, fps/base)
 	}
 
 	// Allocation saving from Scratch reuse over the conversion span (SSA
@@ -390,18 +381,51 @@ func runThroughput(repeat int, level analysis.Level) error {
 	}
 	cfg := driver.Config{Algo: driver.New, Workers: 1}
 	driver.Run(irJobs[:1], cfg)
-	_, withScratch := driver.Run(irJobs, cfg)
+	_, _, withScratch := driver.Run(irJobs, cfg)
 	cfg.NoScratch = true
-	_, noScratch := driver.Run(irJobs, cfg)
+	_, _, noScratch := driver.Run(irJobs, cfg)
 	fmt.Printf("%14s %14s %14s\n", "", "bytes", "bytes/func")
 	fmt.Printf("%14s %14d %14d\n", "no reuse", noScratch.AllocBytes, noScratch.AllocBytes/int64(len(irJobs)))
 	fmt.Printf("%14s %14d %14d\n", "scratch", withScratch.AllocBytes, withScratch.AllocBytes/int64(len(irJobs)))
 	fmt.Printf("%14s %13.1f%%\n", "ratio", 100*float64(withScratch.AllocBytes)/float64(noScratch.AllocBytes))
 
-	fmt.Println("\nBatch snapshot at the largest worker count:")
-	_, snap := driver.Run(jobs, driver.Config{Algo: driver.New, Workers: ladder[len(ladder)-1]})
-	fmt.Print(snap.Table())
+	fmt.Println("\nBatch table at the largest worker count:")
+	_, stats, rep := driver.Run(jobs, driver.Config{Algo: driver.New, Workers: ladder[len(ladder)-1]})
+	fmt.Print(stats.Table(rep, driver.New, 0))
 	return nil
+}
+
+// runJobs is one driver.Run round for bestOf: the fold's global
+// aggregate and the wall time. The first job error fails the round, and
+// so does an audit finding when strict is set.
+func runJobs(jobs []driver.Job, cfg driver.Config, strict bool) (driver.FamilyAgg, time.Duration, error) {
+	results, stats, rep := driver.Run(jobs, cfg)
+	for _, r := range results {
+		if r.Err != nil {
+			return driver.FamilyAgg{}, 0, r.Err
+		}
+		if strict && r.Report != nil && r.Report.Failed() {
+			return driver.FamilyAgg{}, 0, fmt.Errorf("%s: audit findings:\n%s", r.Name, r.Report)
+		}
+	}
+	return stats.Global(), rep.Wall, nil
+}
+
+// bestOf calls run n times (at least once) and returns the result with
+// the smallest time, and that time; the first error aborts.
+func bestOf[T any](n int, run func() (T, time.Duration, error)) (T, time.Duration, error) {
+	var best T
+	var bestT time.Duration
+	for i := 0; i == 0 || i < n; i++ {
+		r, t, err := run()
+		if err != nil {
+			return r, t, err
+		}
+		if i == 0 || t < bestT {
+			best, bestT = r, t
+		}
+	}
+	return best, bestT, nil
 }
 
 // runAudit measures what the internal/analysis verification suite costs on
@@ -422,22 +446,16 @@ func runAudit(repeat int) error {
 		walls := map[analysis.Level]time.Duration{}
 		var findings int64
 		for _, lvl := range levels {
-			var best time.Duration
-			for rep := 0; rep < repeat; rep++ {
-				results, snap := driver.Run(jobs, driver.Config{Algo: algo, Workers: 1, Check: lvl})
-				for _, r := range results {
-					if r.Err != nil {
-						return r.Err
-					}
-				}
-				if rep == 0 || snap.Wall < best {
-					best = snap.Wall
-				}
-				if lvl == analysis.Full {
-					findings = snap.CheckFindings
-				}
+			g, wall, err := bestOf(repeat, func() (driver.FamilyAgg, time.Duration, error) {
+				return runJobs(jobs, driver.Config{Algo: algo, Workers: 1, Check: lvl}, false)
+			})
+			if err != nil {
+				return err
 			}
-			walls[lvl] = best
+			walls[lvl] = wall
+			if lvl == analysis.Full {
+				findings = g.CheckFindings
+			}
 		}
 		fmt.Printf("%10v %12v %12v %8.2fx %12v %8.2fx %9d\n",
 			algo,
@@ -476,23 +494,17 @@ func runTraceOverhead(repeat int) error {
 	}
 	base := time.Duration(0)
 	for _, c := range configs {
-		var best time.Duration
-		var events int64
-		for rep := 0; rep < repeat; rep++ {
+		events, best, err := bestOf(repeat, func() (int64, time.Duration, error) {
 			rec := c.mk()
-			results, snap := driver.Run(jobs, driver.Config{Algo: driver.New, Workers: 1, Obs: rec})
-			for _, r := range results {
-				if r.Err != nil {
-					return r.Err
-				}
+			_, wall, err := runJobs(jobs, driver.Config{Algo: driver.New, Workers: 1, Obs: rec}, false)
+			if err != nil {
+				return 0, 0, err
 			}
-			if rep == 0 || snap.Wall < best {
-				best = snap.Wall
-				events = int64(len(rec.Events())) + rec.Dropped()
-			}
-			if err := rec.Close(); err != nil {
-				return err
-			}
+			events := int64(len(rec.Events())) + rec.Dropped()
+			return events, wall, rec.Close()
+		})
+		if err != nil {
+			return err
 		}
 		if base == 0 {
 			base = best

@@ -32,23 +32,27 @@ func main() {
 	workers := runtime.GOMAXPROCS(0)
 	fmt.Printf("JIT stream: %d functions, %d workers\n\n", len(jobs), workers)
 
-	snaps := map[driver.Algo]*driver.Snapshot{}
+	type run struct {
+		g    driver.FamilyAgg
+		wall time.Duration
+	}
+	runs := map[driver.Algo]run{}
 	for _, algo := range driver.Algos {
-		results, snap := driver.Run(jobs, driver.Config{Algo: algo, Workers: workers})
+		results, stats, rep := driver.Run(jobs, driver.Config{Algo: algo, Workers: workers})
 		for _, r := range results {
 			if r.Err != nil {
 				log.Fatalf("%s (%v): %v", r.Name, algo, r.Err)
 			}
 		}
-		snaps[algo] = snap
+		runs[algo] = run{stats.Global(), rep.Wall}
 	}
 
 	fmt.Printf("%-10s %14s %12s %14s %10s\n", "algorithm", "wall", "funcs/sec", "vs New", "copies")
 	for _, algo := range driver.Algos {
-		s := snaps[algo]
+		r := runs[algo]
 		fmt.Printf("%-10s %14v %12.1f %13.2fx %10d\n",
-			algo, s.Wall.Round(time.Microsecond), s.FuncsPerSec,
-			float64(s.Wall)/float64(snaps[driver.New].Wall), s.StaticCopies)
+			algo, r.wall.Round(time.Microsecond), r.g.FuncsPerSec(r.wall),
+			float64(r.wall)/float64(runs[driver.New].wall), r.g.StaticCopies)
 	}
 	fmt.Println("\nThe JIT takeaway: New matches the interference-graph coalescers'")
 	fmt.Println("copy quality at a fraction of the conversion latency, while")

@@ -40,14 +40,14 @@ func cacheEntries() ([]BenchEntry, error) {
 		return nil, err
 	}
 	n := float64(len(jobs))
-	run := func(name, mode string, cfg driver.Config) (BenchEntry, *driver.Snapshot) {
-		var snap *driver.Snapshot
+	run := func(name, mode string, cfg driver.Config) (BenchEntry, driver.FamilyAgg) {
+		var stats *driver.StreamStats
 		e := BenchEntry{Name: name, Pipeline: "New", Mode: mode, Iters: len(jobs)}
 		ns, bytes, allocs := measureSpan(1, func(int) {
-			_, snap = driver.Run(jobs, cfg)
+			_, stats, _ = driver.Run(jobs, cfg)
 		})
 		e.NsPerOp, e.BytesPerOp, e.AllocsPerOp = ns/n, bytes/n, allocs/n
-		return e, snap
+		return e, stats.Global()
 	}
 
 	cfg := driver.Config{Algo: driver.New, Workers: 1}
@@ -55,10 +55,10 @@ func cacheEntries() ([]BenchEntry, error) {
 	off, _ := run("cache-off", "cold", cfg)
 	cfg.Cache = cache.New(cache.Config{})
 	fill, _ := run("cache-fill", "cold", cfg)
-	hit, snap := run("cache-hit", "warm", cfg)
-	if snap.CacheHits != int64(len(jobs)) || snap.Errors != 0 {
+	hit, g := run("cache-hit", "warm", cfg)
+	if g.CacheHits != int64(len(jobs)) || g.Errors != 0 {
 		return nil, fmt.Errorf("cache-hit round: %d hits / %d errors over %d jobs",
-			snap.CacheHits, snap.Errors, len(jobs))
+			g.CacheHits, g.Errors, len(jobs))
 	}
 	return []BenchEntry{off, fill, hit}, nil
 }

@@ -198,7 +198,7 @@ func spotCheck(src *CorpusSource, cfg driver.Config, samples map[int64]spotSampl
 	for _, idx := range idxs {
 		want := samples[idx]
 		job := src.JobAt(idx)
-		results, _ := driver.Run([]driver.Job{job}, cfg)
+		results, _, _ := driver.Run([]driver.Job{job}, cfg)
 		r := results[0]
 		if (r.Err != nil) != want.err {
 			return fmt.Errorf("spot-check #%d (%s): batch err=%v, streamed err=%v", idx, job.Name, r.Err, want.err)

@@ -28,7 +28,7 @@ func TestDistilledFuzzCorpus(t *testing.T) {
 			if w.PhiForm && (algo == driver.Briggs || algo == driver.BriggsStar) {
 				continue // these rebuild SSA and cannot take φ-form input
 			}
-			res, _ := driver.Run([]driver.Job{{Name: w.Name, Src: w.Src, IR: w.IR}}, driver.Config{
+			res, _, _ := driver.Run([]driver.Job{{Name: w.Name, Src: w.Src, IR: w.IR}}, driver.Config{
 				Algo: algo, Workers: 1, Check: analysis.Full,
 			})
 			if r := res[0]; r.Err != nil {

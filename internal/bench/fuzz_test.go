@@ -63,7 +63,7 @@ func FuzzDestructPipelines(f *testing.F) {
 			if phiForm && (algo == driver.Briggs || algo == driver.BriggsStar) {
 				continue // these rebuild SSA and cannot take φ-form input
 			}
-			res, _ := driver.Run([]driver.Job{{Name: "fuzz", Func: fn}}, driver.Config{
+			res, _, _ := driver.Run([]driver.Job{{Name: "fuzz", Func: fn}}, driver.Config{
 				Algo: algo, Workers: 1, Check: analysis.Full,
 			})
 			if r := res[0]; r.Err != nil {

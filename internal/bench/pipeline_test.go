@@ -38,16 +38,17 @@ func TestPipelineComputesDominatorsOnce(t *testing.T) {
 	}
 	for _, algo := range driver.Algos {
 		before := dom.RecomputeCount()
-		_, snap := driver.Run(jobs, driver.Config{Algo: algo, Workers: 1})
-		if snap.Errors != 0 {
-			t.Fatalf("%v: errors=%d", algo, snap.Errors)
+		_, stats, _ := driver.Run(jobs, driver.Config{Algo: algo, Workers: 1})
+		agg := stats.Global()
+		if agg.Errors != 0 {
+			t.Fatalf("%v: errors=%d", algo, agg.Errors)
 		}
 		want := int64(len(jobs))
 		if got := dom.RecomputeCount() - before; got != want {
 			t.Errorf("%v batch: %d dominator computations for %d functions", algo, got, want)
 		}
-		if snap.DomRecomputes != want {
-			t.Errorf("%v batch: snapshot DomRecomputes=%d, want %d", algo, snap.DomRecomputes, want)
+		if agg.DomRecomputes != want {
+			t.Errorf("%v batch: aggregate DomRecomputes=%d, want %d", algo, agg.DomRecomputes, want)
 		}
 	}
 }

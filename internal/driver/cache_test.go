@@ -18,12 +18,12 @@ import (
 func TestCachedMatchesFresh(t *testing.T) {
 	jobs := kernelJobs(t)
 	for _, algo := range driver.Algos {
-		fresh, fsnap := driver.Run(jobs, driver.Config{Algo: algo, Workers: 4})
+		fresh, fagg := runAgg(jobs, driver.Config{Algo: algo, Workers: 4})
 		c := cache.New(cache.Config{})
-		cold, _ := driver.Run(jobs, driver.Config{Algo: algo, Workers: 4, Cache: c})
-		warm, wsnap := driver.Run(jobs, driver.Config{Algo: algo, Workers: 4, Cache: c})
-		if fsnap.Errors != 0 || wsnap.Errors != 0 {
-			t.Fatalf("%v: errors fresh=%d warm=%d", algo, fsnap.Errors, wsnap.Errors)
+		cold, _, _ := driver.Run(jobs, driver.Config{Algo: algo, Workers: 4, Cache: c})
+		warm, wagg := runAgg(jobs, driver.Config{Algo: algo, Workers: 4, Cache: c})
+		if fagg.Errors != 0 || wagg.Errors != 0 {
+			t.Fatalf("%v: errors fresh=%d warm=%d", algo, fagg.Errors, wagg.Errors)
 		}
 		want := render(t, fresh)
 		if got := render(t, cold); got != want {
@@ -32,8 +32,8 @@ func TestCachedMatchesFresh(t *testing.T) {
 		if got := render(t, warm); got != want {
 			t.Errorf("%v: cache-served output differs from uncached", algo)
 		}
-		if wsnap.CacheHits != int64(len(jobs)) {
-			t.Errorf("%v: warm run hit %d of %d jobs", algo, wsnap.CacheHits, len(jobs))
+		if wagg.CacheHits != int64(len(jobs)) {
+			t.Errorf("%v: warm run hit %d of %d jobs", algo, wagg.CacheHits, len(jobs))
 		}
 		if st := c.Stats(); st.Hits < int64(len(jobs)) {
 			t.Errorf("%v: cache counted %d hits, want >= %d", algo, st.Hits, len(jobs))
@@ -48,26 +48,26 @@ func TestCachedMatchesFresh(t *testing.T) {
 func TestCachedMatchesFreshUnderCheck(t *testing.T) {
 	jobs := kernelJobs(t)
 	cfg := driver.Config{Algo: driver.New, Workers: 4, Check: analysis.Full}
-	fresh, fsnap := driver.Run(jobs, cfg)
+	fresh, fagg := runAgg(jobs, cfg)
 	cfg.Cache = cache.New(cache.Config{})
 	cfg.Revalidate = true
 	driver.Run(jobs, cfg) // fill
-	warm, wsnap := driver.Run(jobs, cfg)
-	if fsnap.Errors != 0 || wsnap.Errors != 0 {
-		t.Fatalf("errors fresh=%d warm=%d", fsnap.Errors, wsnap.Errors)
+	warm, wagg := runAgg(jobs, cfg)
+	if fagg.Errors != 0 || wagg.Errors != 0 {
+		t.Fatalf("errors fresh=%d warm=%d", fagg.Errors, wagg.Errors)
 	}
-	if fsnap.CheckFindings != 0 || wsnap.CheckFindings != 0 {
-		t.Fatalf("audit findings fresh=%d warm=%d, want none", fsnap.CheckFindings, wsnap.CheckFindings)
+	if fagg.CheckFindings != 0 || wagg.CheckFindings != 0 {
+		t.Fatalf("audit findings fresh=%d warm=%d, want none", fagg.CheckFindings, wagg.CheckFindings)
 	}
 	if got, want := render(t, warm), render(t, fresh); got != want {
 		t.Error("revalidated output differs from uncached")
 	}
-	if wsnap.Revalidated != int64(len(jobs)) || wsnap.CacheHits != int64(len(jobs)) {
+	if wagg.Revalidated != int64(len(jobs)) || wagg.CacheHits != int64(len(jobs)) {
 		t.Errorf("warm run revalidated %d / hit %d of %d jobs",
-			wsnap.Revalidated, wsnap.CacheHits, len(jobs))
+			wagg.Revalidated, wagg.CacheHits, len(jobs))
 	}
-	if wsnap.Checked != int64(len(jobs)) {
-		t.Errorf("revalidated run audited %d jobs, want %d", wsnap.Checked, len(jobs))
+	if wagg.Checked != int64(len(jobs)) {
+		t.Errorf("revalidated run audited %d jobs, want %d", wagg.Checked, len(jobs))
 	}
 }
 
@@ -99,10 +99,10 @@ func f(n int) int {
 	c := cache.New(cache.Config{})
 	c.Put(key, &cache.Entry{Text: []byte("not the real output\n")})
 
-	results, snap := driver.Run([]driver.Job{{Name: "poisoned", Src: src}},
+	results, agg := runAgg([]driver.Job{{Name: "poisoned", Src: src}},
 		driver.Config{Algo: driver.New, Workers: 1, Cache: c, Revalidate: true})
-	if snap.Errors != 1 {
-		t.Fatalf("errors = %d, want 1 (revalidation mismatch)", snap.Errors)
+	if agg.Errors != 1 {
+		t.Fatalf("errors = %d, want 1 (revalidation mismatch)", agg.Errors)
 	}
 	if err := results[0].Err; err == nil || !strings.Contains(err.Error(), "cache revalidation") {
 		t.Fatalf("error = %v, want a cache revalidation mismatch", err)
@@ -112,10 +112,10 @@ func f(n int) int {
 	c2 := cache.New(cache.Config{})
 	cfg := driver.Config{Algo: driver.New, Workers: 1, Cache: c2, Revalidate: true}
 	driver.Run([]driver.Job{{Src: src}}, cfg) // fill
-	results, snap = driver.Run([]driver.Job{{Src: src}}, cfg)
-	if snap.Errors != 0 || !results[0].Revalidated || !results[0].Cached {
+	results, agg = runAgg([]driver.Job{{Src: src}}, cfg)
+	if agg.Errors != 0 || !results[0].Revalidated || !results[0].Cached {
 		t.Fatalf("clean revalidation: errors=%d cached=%v revalidated=%v",
-			snap.Errors, results[0].Cached, results[0].Revalidated)
+			agg.Errors, results[0].Cached, results[0].Revalidated)
 	}
 }
 
@@ -128,9 +128,9 @@ func TestCacheHitSkipsPipelinePhases(t *testing.T) {
 	rec := obs.NewRecorder(obs.Options{})
 	cfg := driver.Config{Algo: driver.New, Workers: 2, Obs: rec, Cache: cache.New(cache.Config{})}
 	driver.Run(jobs, cfg) // gen 1: cold fill
-	_, snap := driver.Run(jobs, cfg)
-	if snap.CacheHits != int64(len(jobs)) || snap.Errors != 0 {
-		t.Fatalf("warm run: %d hits, %d errors; want %d hits", snap.CacheHits, snap.Errors, len(jobs))
+	_, agg := runAgg(jobs, cfg)
+	if agg.CacheHits != int64(len(jobs)) || agg.Errors != 0 {
+		t.Fatalf("warm run: %d hits, %d errors; want %d hits", agg.CacheHits, agg.Errors, len(jobs))
 	}
 	counts := map[obs.Phase]int{}
 	for _, e := range rec.Events() {
@@ -169,13 +169,13 @@ func TestWarmHitAllocation(t *testing.T) {
 	}
 	// The baseline must not see the cache at all: 256 copies of one
 	// function would dedupe through it after the first fill.
-	_, cold := driver.Run(jobs, driver.Config{Algo: driver.New, Workers: 1})
+	_, _, cold := driver.Run(jobs, driver.Config{Algo: driver.New, Workers: 1})
 	c := cache.New(cache.Config{})
 	cfg := driver.Config{Algo: driver.New, Workers: 1, Cache: c}
 	driver.Run(jobs[:1], cfg) // fill
-	_, warm := driver.Run(jobs, cfg)
-	if warm.CacheHits != int64(len(jobs)) {
-		t.Fatalf("warm run hit %d of %d", warm.CacheHits, len(jobs))
+	_, stats, warm := driver.Run(jobs, cfg)
+	if hits := stats.Global().CacheHits; hits != int64(len(jobs)) {
+		t.Fatalf("warm run hit %d of %d", hits, len(jobs))
 	}
 	perJob := warm.AllocBytes / int64(len(jobs))
 	t.Logf("alloc/job: cold=%d warm=%d", cold.AllocBytes/int64(len(jobs)), perJob)

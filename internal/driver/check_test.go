@@ -72,7 +72,8 @@ func TestCheckCorpusClean(t *testing.T) {
 				}
 			}
 		}
-		results, snap := Run(jobs, Config{Algo: algo, Check: analysis.Full})
+		results, stats, _ := Run(jobs, Config{Algo: algo, Check: analysis.Full})
+		agg := stats.Global()
 		for _, r := range results {
 			if r.Err != nil {
 				t.Errorf("%v %s: %v", algo, r.Name, r.Err)
@@ -86,13 +87,13 @@ func TestCheckCorpusClean(t *testing.T) {
 				t.Errorf("%v %s: audit findings:\n%s", algo, r.Name, r.Report)
 			}
 		}
-		if snap.Checked != int64(len(jobs)) {
-			t.Errorf("%v: snapshot says %d checked, want %d", algo, snap.Checked, len(jobs))
+		if agg.Checked != int64(len(jobs)) {
+			t.Errorf("%v: aggregate says %d checked, want %d", algo, agg.Checked, len(jobs))
 		}
-		if snap.CheckFindings != 0 {
-			t.Errorf("%v: snapshot records %d findings", algo, snap.CheckFindings)
+		if agg.CheckFindings != 0 {
+			t.Errorf("%v: aggregate records %d findings", algo, agg.CheckFindings)
 		}
-		if snap.Check <= 0 {
+		if agg.Check <= 0 {
 			t.Errorf("%v: no check time recorded", algo)
 		}
 	}
@@ -102,16 +103,16 @@ func TestCheckCorpusClean(t *testing.T) {
 // report; Fast produces one without running the interpreter.
 func TestCheckLevelsNoneAndFast(t *testing.T) {
 	all, _ := corpusJobs(t)
-	results, snap := Run(all, Config{Algo: New, Check: analysis.None})
+	results, stats, _ := Run(all, Config{Algo: New, Check: analysis.None})
 	for _, r := range results {
 		if r.Report != nil {
 			t.Fatalf("%s: report present at level none", r.Name)
 		}
 	}
-	if snap.Checked != 0 {
-		t.Fatalf("snapshot says %d checked at level none", snap.Checked)
+	if g := stats.Global(); g.Checked != 0 {
+		t.Fatalf("aggregate says %d checked at level none", g.Checked)
 	}
-	results, _ = Run(all, Config{Algo: New, Check: analysis.Fast})
+	results, _, _ = Run(all, Config{Algo: New, Check: analysis.Fast})
 	for _, r := range results {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.Name, r.Err)

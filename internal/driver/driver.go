@@ -216,10 +216,10 @@ func (cfg *Config) fingerprint() string {
 }
 
 // Run compiles every job with cfg's pipeline across a worker pool and
-// returns the per-job results (indexed by job position) plus an aggregate
-// Snapshot. Individual job failures land in Result.Err; Run itself only
-// fails by returning those.
-func Run(jobs []Job, cfg Config) ([]Result, *Snapshot) {
+// returns the per-job results (indexed by job position), their fold, and
+// the engine's report. Individual job failures land in Result.Err; Run
+// itself only fails by returning those.
+func Run(jobs []Job, cfg Config) ([]Result, *StreamStats, *StreamReport) {
 	return RunCtx(context.Background(), jobs, cfg)
 }
 
@@ -227,8 +227,8 @@ func Run(jobs []Job, cfg Config) ([]Result, *Snapshot) {
 // aborts: jobs already claimed by a worker run to completion (a
 // half-rewritten function is useless), jobs not yet claimed come back
 // as Result{Skipped: true} with the context's error, and RunCtx still
-// returns the full result slice and Snapshot.
-func RunCtx(ctx context.Context, jobs []Job, cfg Config) ([]Result, *Snapshot) {
+// returns the full result slice, fold and report.
+func RunCtx(ctx context.Context, jobs []Job, cfg Config) ([]Result, *StreamStats, *StreamReport) {
 	return runScratches(ctx, jobs, cfg, newScratches(cfg, workerCount(cfg, len(jobs))))
 }
 
@@ -260,11 +260,17 @@ func newScratches(cfg Config, workers int) []*Scratch {
 }
 
 // sliceReducer materializes streamed results back into the positional
-// slice the batch API promises. Indices are distinct, so concurrent
-// writes never alias.
-type sliceReducer []Result
+// slice the batch API promises, and tees each into the run's fold.
+// Indices are distinct, so concurrent writes never alias.
+type sliceReducer struct {
+	out   []Result
+	stats *StreamStats
+}
 
-func (s sliceReducer) Reduce(r *Result) { s[r.Index] = *r }
+func (s sliceReducer) Reduce(r *Result) {
+	s.stats.Reduce(r)
+	s.out[r.Index] = *r
+}
 
 // runScratches is the batch adapter behind RunCtx and Serve: it feeds
 // the jobs through the streaming engine as a SliceSource with the
@@ -272,18 +278,11 @@ func (s sliceReducer) Reduce(r *Result) { s[r.Index] = *r }
 // collects results into the positional slice. DrainSource keeps the
 // cancellation contract: every never-claimed job comes back stamped
 // Skipped with the context's cause.
-func runScratches(ctx context.Context, jobs []Job, cfg Config, scs []*Scratch) ([]Result, *Snapshot) {
-	results := make([]Result, len(jobs))
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	start := time.Now()
-	runStream(ctx, NewSliceSource(jobs), cfg,
-		StreamOptions{Chunk: 1, NoSteal: true, DrainSource: true},
-		sliceReducer(results), scs)
-	wall := time.Since(start)
-	runtime.ReadMemStats(&ms1)
-	snap := summarize(results, cfg.Algo, len(scs), wall, int64(ms1.TotalAlloc-ms0.TotalAlloc), cfg.RegallocK)
-	return results, snap
+func runScratches(ctx context.Context, jobs []Job, cfg Config, scs []*Scratch) ([]Result, *StreamStats, *StreamReport) {
+	red := sliceReducer{out: make([]Result, len(jobs)), stats: NewStreamStats()}
+	rep := runStream(ctx, NewSliceSource(jobs), cfg,
+		StreamOptions{Chunk: 1, NoSteal: true, DrainSource: true}, red, scs)
+	return red.out, red.stats, rep
 }
 
 // compileOne runs one job through the configured pipeline on the
@@ -300,34 +299,19 @@ func compileOne(idx int, j Job, cfg Config, sc *Scratch) Result {
 		defer tr.EndJob()
 	}
 	res := Result{Index: idx, Name: j.Name}
-	t0 := time.Now()
-	tr.Begin(obs.PhaseParse)
-	var f *ir.Func
-	var err error
-	owned := true // f is private; prebuilt jobs defer the clone to the miss path
-	switch {
-	case j.Func != nil:
-		if cfg.Cache != nil {
-			f = j.Func // canonicalize in place; clone only if we must compile
-			owned = false
-		} else {
-			f = j.Func.Clone()
-		}
-	case j.IR:
-		f, err = ir.Parse(j.Src)
-	default:
-		f, err = lang.CompileOne(j.Src)
-	}
-	tr.End(obs.PhaseParse)
+	// A prebuilt Func is canonicalized in place when a cache is on; it is
+	// cloned only on the miss path, where the pipeline must own it.
+	f, parse, err := parseJob(&j, cfg.Cache == nil, tr)
 	if err != nil {
 		res.Err = err
 		return res
 	}
+	owned := j.Func == nil || cfg.Cache == nil
 	if res.Name == "" {
 		res.Name = f.Name
 	}
 	m := &res.Metrics
-	m.Parse = time.Since(t0)
+	m.Parse = parse
 
 	// The cache fast path: hash the canonical input text (plus the
 	// configuration fingerprint) in a reused buffer and look it up. A
@@ -343,22 +327,15 @@ func compileOne(idx int, j Job, cfg Config, sc *Scratch) Result {
 			if cfg.fp == "" {
 				cfg.fp = cfg.fingerprint()
 			}
-			buf := append(sc.canonBuf(), cfg.fp...)
-			buf = f.AppendText(buf)
+			var buf []byte
+			key, buf = contentKey(sc.canonBuf(), cfg.fp, f)
 			sc.storeCanon(buf)
-			key = cache.Sum(buf)
 		}
 		var ok bool
 		hitEnt, ok = cfg.Cache.Get(key)
 		tr.End(obs.PhaseCache)
 		if ok && !cfg.Revalidate {
-			res.Func = hitEnt.Func
-			res.Cached = true
-			if fm, isFM := hitEnt.Meta.(FuncMetrics); isFM {
-				parse := m.Parse
-				res.Metrics = fm
-				res.Metrics.Parse = parse
-			}
+			res.fromCache(hitEnt, parse)
 			return res
 		}
 		if !owned {
@@ -474,7 +451,6 @@ func compileOne(idx int, j Job, cfg Config, sc *Scratch) Result {
 
 	if cfg.Check != analysis.None {
 		t3 := time.Now()
-		tr.Begin(obs.PhaseCheck)
 		out := f
 		if preAlloc != nil {
 			out = preAlloc // audit the destruction, not the spill rewriting
@@ -486,9 +462,53 @@ func compileOne(idx int, j Job, cfg Config, sc *Scratch) Result {
 			NameMap: d.NameMap,
 		}
 		res.Report = analysis.RunAll(unit, cfg.Check)
-		tr.End(obs.PhaseCheck)
-		m.Check = time.Since(t3)
+		t4 := time.Now()
+		tr.Span(obs.PhaseCheck, t3, t4)
+		m.Check = t4.Sub(t3)
 		m.CheckFindings = len(res.Report.Diags)
 	}
 	return res
+}
+
+// parseJob materializes a job's function: the front half the batch
+// worker and ShardPool.Submit share. A prebuilt Func is returned as is
+// unless clone is set. The parse is timed once; the duration and the
+// trace span come from the same two instants.
+func parseJob(j *Job, clone bool, tr *obs.Tracer) (f *ir.Func, parse time.Duration, err error) {
+	t0 := time.Now()
+	switch {
+	case j.Func != nil:
+		f = j.Func
+		if clone {
+			f = f.Clone()
+		}
+	case j.IR:
+		f, err = ir.Parse(j.Src)
+	default:
+		f, err = lang.CompileOne(j.Src)
+	}
+	t1 := time.Now()
+	tr.Span(obs.PhaseParse, t0, t1)
+	return f, t1.Sub(t0), err
+}
+
+// contentKey is a function's cache address: the hash of the
+// configuration fingerprint plus its canonical text, printed into buf.
+// It returns the possibly grown buffer for the caller to reuse.
+func contentKey(buf []byte, fp string, f *ir.Func) (cache.Key, []byte) {
+	buf = append(buf[:0], fp...)
+	buf = f.AppendText(buf)
+	return cache.Sum(buf), buf
+}
+
+// fromCache answers res from a cache entry: the entry's shared function
+// and the shape counts recorded when it was filled, with parse the only
+// time spent.
+func (res *Result) fromCache(ent *cache.Entry, parse time.Duration) {
+	res.Func = ent.Func
+	res.Cached = true
+	if fm, ok := ent.Meta.(FuncMetrics); ok {
+		res.Metrics = fm
+	}
+	res.Metrics.Parse = parse
 }

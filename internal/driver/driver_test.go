@@ -1,6 +1,7 @@
 package driver_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -43,16 +44,16 @@ func render(t *testing.T, results []driver.Result) string {
 func TestParallelMatchesSerial(t *testing.T) {
 	jobs := kernelJobs(t)
 	for _, algo := range driver.Algos {
-		serial, ssnap := driver.Run(jobs, driver.Config{Algo: algo, Workers: 1})
-		parallel, psnap := driver.Run(jobs, driver.Config{Algo: algo, Workers: 8})
-		if ssnap.Errors != 0 || psnap.Errors != 0 {
-			t.Fatalf("%v: errors serial=%d parallel=%d", algo, ssnap.Errors, psnap.Errors)
+		serial, sagg := runAgg(jobs, driver.Config{Algo: algo, Workers: 1})
+		parallel, pagg := runAgg(jobs, driver.Config{Algo: algo, Workers: 8})
+		if sagg.Errors != 0 || pagg.Errors != 0 {
+			t.Fatalf("%v: errors serial=%d parallel=%d", algo, sagg.Errors, pagg.Errors)
 		}
 		if got, want := render(t, parallel), render(t, serial); got != want {
 			t.Errorf("%v: parallel output differs from serial", algo)
 		}
-		if psnap.Functions != len(jobs) {
-			t.Errorf("%v: %d functions compiled, want %d", algo, psnap.Functions, len(jobs))
+		if pagg.Functions() != int64(len(jobs)) {
+			t.Errorf("%v: %d functions compiled, want %d", algo, pagg.Functions(), len(jobs))
 		}
 	}
 }
@@ -62,8 +63,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 func TestScratchMatchesNoScratch(t *testing.T) {
 	jobs := kernelJobs(t)
 	for _, algo := range driver.Algos {
-		reused, _ := driver.Run(jobs, driver.Config{Algo: algo, Workers: 2})
-		cold, _ := driver.Run(jobs, driver.Config{Algo: algo, Workers: 2, NoScratch: true})
+		reused, _, _ := driver.Run(jobs, driver.Config{Algo: algo, Workers: 2})
+		cold, _, _ := driver.Run(jobs, driver.Config{Algo: algo, Workers: 2, NoScratch: true})
 		if got, want := render(t, reused), render(t, cold); got != want {
 			t.Errorf("%v: scratch-reuse output differs from cold compilation", algo)
 		}
@@ -91,9 +92,9 @@ func TestScratchReuseCutsAllocations(t *testing.T) {
 	// One throwaway run absorbs one-time costs (lazy runtime state) so the
 	// two measured runs see the same environment.
 	driver.Run(jobs[:1], cfg)
-	_, warm := driver.Run(jobs, cfg)
+	_, _, warm := driver.Run(jobs, cfg)
 	cfg.NoScratch = true
-	_, cold := driver.Run(jobs, cfg)
+	_, _, cold := driver.Run(jobs, cfg)
 	if warm.AllocBytes <= 0 || cold.AllocBytes <= 0 {
 		t.Fatalf("implausible allocation measurements: warm=%d cold=%d", warm.AllocBytes, cold.AllocBytes)
 	}
@@ -127,9 +128,9 @@ b0:
 		{Name: "pre-built", Func: f},
 		{Name: "ir", Src: irText, IR: true},
 	}
-	results, snap := driver.Run(jobs, driver.Config{Algo: driver.New, Workers: 3})
-	if snap.Functions != 3 || snap.Errors != 1 {
-		t.Fatalf("functions=%d errors=%d, want 3/1", snap.Functions, snap.Errors)
+	results, agg := runAgg(jobs, driver.Config{Algo: driver.New, Workers: 3})
+	if agg.Functions() != 3 || agg.Errors != 1 {
+		t.Fatalf("functions=%d errors=%d, want 3/1", agg.Functions(), agg.Errors)
 	}
 	if results[1].Err == nil {
 		t.Error("broken job did not report its parse error")
@@ -148,14 +149,46 @@ b0:
 	}
 }
 
-// TestSnapshotTable sanity-checks the rendered metrics block.
-func TestSnapshotTable(t *testing.T) {
+// TestStatsTable sanity-checks the rendered metrics block of a batch.
+func TestStatsTable(t *testing.T) {
 	jobs := kernelJobs(t)[:4]
-	_, snap := driver.Run(jobs, driver.Config{Algo: driver.New, Workers: 2})
-	table := snap.Table()
-	for _, want := range []string{"pipeline New", "functions 4", "funcs/sec", "ssa-build"} {
+	_, stats, rep := driver.Run(jobs, driver.Config{Algo: driver.New, Workers: 2})
+	table := stats.Table(rep, driver.New, 0)
+	for _, want := range []string{"pipeline New", "functions 4", "funcs/sec", "ssa-build", "alloc", "peak-heap"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("table missing %q:\n%s", want, table)
 		}
 	}
+	if rep.AllocBytes <= 0 {
+		t.Errorf("report AllocBytes = %d, want > 0", rep.AllocBytes)
+	}
+}
+
+// TestFuncsPerSecCountsSuccesses pins the one definition of throughput:
+// successful jobs per second of wall. A broken job is reported as an
+// error, not as throughput, in the aggregate and in the table.
+func TestFuncsPerSecCountsSuccesses(t *testing.T) {
+	jobs := append(kernelJobs(t)[:3], driver.Job{Name: "broken", Src: "func oops("})
+	_, stats, rep := driver.Run(jobs, driver.Config{Algo: driver.New, Workers: 2})
+	g := stats.Global()
+	if g.Jobs != 4 || g.Errors != 1 || g.Functions() != 3 {
+		t.Fatalf("jobs=%d errors=%d functions=%d, want 4/1/3", g.Jobs, g.Errors, g.Functions())
+	}
+	want := 3 / rep.Wall.Seconds()
+	if got := g.FuncsPerSec(rep.Wall); got != want {
+		t.Errorf("FuncsPerSec = %v, want 3 successes / %v = %v", got, rep.Wall, want)
+	}
+	table := stats.Table(rep, driver.New, 0)
+	if line := fmt.Sprintf("throughput %8.1f funcs/sec", want); !strings.Contains(table, line) {
+		t.Errorf("table missing %q:\n%s", line, table)
+	}
+	if !strings.Contains(table, "functions 3 (1 errors)") {
+		t.Errorf("table does not count the broken job as an error:\n%s", table)
+	}
+}
+
+// runAgg is driver.Run reduced to the fold's global aggregate.
+func runAgg(jobs []driver.Job, cfg driver.Config) ([]driver.Result, driver.FamilyAgg) {
+	results, stats, _ := driver.Run(jobs, cfg)
+	return results, stats.Global()
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"fastcoalesce/internal/analysis"
 	"fastcoalesce/internal/bench"
 	"fastcoalesce/internal/driver"
 	"fastcoalesce/internal/obs"
@@ -17,15 +18,15 @@ import (
 func TestRecorderDifferential(t *testing.T) {
 	jobs := kernelJobs(t)
 	for _, algo := range driver.Algos {
-		plain, psnap := driver.Run(jobs, driver.Config{Algo: algo, Workers: 4})
+		plain, pagg := runAgg(jobs, driver.Config{Algo: algo, Workers: 4})
 		var sb strings.Builder
 		rec := obs.NewRecorder(obs.Options{Trace: &sb})
-		traced, tsnap := driver.Run(jobs, driver.Config{Algo: algo, Workers: 4, Obs: rec})
+		traced, tagg := runAgg(jobs, driver.Config{Algo: algo, Workers: 4, Obs: rec})
 		if err := rec.Close(); err != nil {
 			t.Fatalf("%v: trace sink: %v", algo, err)
 		}
-		if psnap.Errors != 0 || tsnap.Errors != 0 {
-			t.Fatalf("%v: errors off=%d on=%d", algo, psnap.Errors, tsnap.Errors)
+		if pagg.Errors != 0 || tagg.Errors != 0 {
+			t.Fatalf("%v: errors off=%d on=%d", algo, pagg.Errors, tagg.Errors)
 		}
 		if got, want := render(t, traced), render(t, plain); got != want {
 			t.Errorf("%v: output with recorder differs from output without", algo)
@@ -43,9 +44,9 @@ func TestRecorderDifferential(t *testing.T) {
 func TestRunMetricsFlow(t *testing.T) {
 	jobs := kernelJobs(t)
 	rec := obs.NewRecorder(obs.Options{})
-	_, snap := driver.Run(jobs, driver.Config{Algo: driver.New, Workers: 2, Obs: rec})
-	if snap.Errors != 0 {
-		t.Fatalf("batch errors: %d", snap.Errors)
+	_, agg := runAgg(jobs, driver.Config{Algo: driver.New, Workers: 2, Obs: rec})
+	if agg.Errors != 0 {
+		t.Fatalf("batch errors: %d", agg.Errors)
 	}
 	var sb strings.Builder
 	if err := rec.Registry().WritePrometheus(&sb); err != nil {
@@ -85,8 +86,8 @@ func TestRunMetricsFlow(t *testing.T) {
 	if phaseSpans < len(jobs)*5 {
 		t.Errorf("only %d phase spans for %d jobs", phaseSpans, len(jobs))
 	}
-	if snap.LivenessVisits <= 0 {
-		t.Error("snapshot did not aggregate liveness visits")
+	if agg.LivenessVisits <= 0 {
+		t.Error("aggregate did not aggregate liveness visits")
 	}
 }
 
@@ -111,10 +112,10 @@ func TestRunCtxDrain(t *testing.T) {
 		jobs := kernelJobs(t)
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		results, snap := driver.RunCtx(ctx, jobs, driver.Config{Algo: driver.New, Workers: 4})
-		if snap.Skipped != len(jobs) || snap.Functions != 0 {
+		results, stats, _ := driver.RunCtx(ctx, jobs, driver.Config{Algo: driver.New, Workers: 4})
+		if g := stats.Global(); g.Skipped != int64(len(jobs)) || g.Functions() != 0 {
 			t.Fatalf("precancelled run: %d skipped, %d compiled; want all %d skipped",
-				snap.Skipped, snap.Functions, len(jobs))
+				g.Skipped, g.Functions(), len(jobs))
 		}
 		for i, r := range results {
 			if !r.Skipped || r.Err == nil || r.Func != nil {
@@ -125,7 +126,7 @@ func TestRunCtxDrain(t *testing.T) {
 	t.Run("midflight", func(t *testing.T) {
 		// Enough jobs that a cancel fired shortly after the start lands in
 		// the middle of the batch. The assertions hold wherever it lands:
-		// no half-compiled result exists, and the snapshot partitions the
+		// no half-compiled result exists, and the aggregate partitions the
 		// batch exactly.
 		var jobs []driver.Job
 		for seed := int64(0); seed < 200; seed++ {
@@ -137,8 +138,9 @@ func TestRunCtxDrain(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 			cancel()
 		}()
-		results, snap := driver.RunCtx(ctx, jobs, driver.Config{Algo: driver.New, Workers: 4})
-		compiled := 0
+		results, stats, _ := driver.RunCtx(ctx, jobs, driver.Config{Algo: driver.New, Workers: 4})
+		agg := stats.Global()
+		compiled := int64(0)
 		for i, r := range results {
 			switch {
 			case r.Skipped:
@@ -154,9 +156,9 @@ func TestRunCtxDrain(t *testing.T) {
 				}
 			}
 		}
-		if compiled != snap.Functions || snap.Functions+snap.Skipped != len(jobs) {
-			t.Fatalf("snapshot partition broken: %d compiled + %d skipped != %d jobs",
-				snap.Functions, snap.Skipped, len(jobs))
+		if compiled != agg.Functions() || agg.Functions()+agg.Skipped != int64(len(jobs)) {
+			t.Fatalf("aggregate partition broken: %d compiled + %d skipped != %d jobs",
+				agg.Functions(), agg.Skipped, len(jobs))
 		}
 	})
 }
@@ -167,14 +169,19 @@ func TestRunCtxDrain(t *testing.T) {
 func TestServeRounds(t *testing.T) {
 	jobs := kernelJobs(t)
 	rec := obs.NewRecorder(obs.Options{})
-	var snaps []*driver.Snapshot
+	var rounds []int64
 	rep := driver.Serve(context.Background(), jobs,
 		driver.Config{Algo: driver.New, Workers: 2, Obs: rec},
-		driver.ServeOptions{Rounds: 3, OnRound: func(round int, snap *driver.Snapshot) {
-			snaps = append(snaps, snap)
+		driver.ServeOptions{Rounds: 3, OnRound: func(round int, stats *driver.StreamStats, _ *driver.StreamReport) {
+			rounds = append(rounds, stats.Global().Functions())
 		}})
-	if rep.Rounds != 3 || len(snaps) != 3 {
-		t.Fatalf("rounds = %d (callbacks %d), want 3", rep.Rounds, len(snaps))
+	if rep.Rounds != 3 || len(rounds) != 3 {
+		t.Fatalf("rounds = %d (callbacks %d), want 3", rep.Rounds, len(rounds))
+	}
+	for i, n := range rounds {
+		if n != int64(len(jobs)) {
+			t.Errorf("round %d compiled %d functions, want %d", i+1, n, len(jobs))
+		}
 	}
 	if want := int64(3 * len(jobs)); rep.Functions != want || rep.Errors != 0 {
 		t.Fatalf("functions = %d errors = %d, want %d and 0", rep.Functions, rep.Errors, want)
@@ -204,7 +211,7 @@ func TestServeCancelStopsBetweenRounds(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	rep := driver.Serve(ctx, jobs,
 		driver.Config{Algo: driver.New, Workers: 2},
-		driver.ServeOptions{OnRound: func(round int, snap *driver.Snapshot) {
+		driver.ServeOptions{OnRound: func(round int, _ *driver.StreamStats, _ *driver.StreamReport) {
 			if round == 2 {
 				cancel()
 			}
@@ -214,5 +221,48 @@ func TestServeCancelStopsBetweenRounds(t *testing.T) {
 	}
 	if rep.Skipped != 0 {
 		t.Errorf("%d jobs skipped; cancel between rounds should drain cleanly", rep.Skipped)
+	}
+}
+
+// TestParseCheckSpansMatchMetrics pins the one-clock rule for the parse
+// and check stages: with observability on, each job's parse and check
+// spans and its FuncMetrics fields come from the same two instants, so
+// their durations are equal to the nanosecond.
+func TestParseCheckSpansMatchMetrics(t *testing.T) {
+	jobs := kernelJobs(t)
+	rec := obs.NewRecorder(obs.Options{})
+	results, _, _ := driver.Run(jobs, driver.Config{Algo: driver.New, Workers: 2, Check: analysis.Fast, Obs: rec})
+	type spans struct{ parse, check []time.Duration }
+	byJob := map[string]*spans{}
+	for _, e := range rec.Events() {
+		if e.Phase != obs.PhaseParse && e.Phase != obs.PhaseCheck {
+			continue
+		}
+		name := rec.JobName(e.Job)
+		sp := byJob[name]
+		if sp == nil {
+			sp = &spans{}
+			byJob[name] = sp
+		}
+		if e.Phase == obs.PhaseParse {
+			sp.parse = append(sp.parse, e.Dur)
+		} else {
+			sp.check = append(sp.check, e.Dur)
+		}
+	}
+	for _, r := range results {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Name, r.Err)
+		}
+		sp := byJob[r.Name]
+		if sp == nil || len(sp.parse) != 1 || len(sp.check) != 1 {
+			t.Fatalf("%s: want one parse and one check span, got %+v", r.Name, sp)
+		}
+		if sp.parse[0] != r.Metrics.Parse {
+			t.Errorf("%s: parse span %v, Metrics.Parse %v", r.Name, sp.parse[0], r.Metrics.Parse)
+		}
+		if sp.check[0] != r.Metrics.Check {
+			t.Errorf("%s: check span %v, Metrics.Check %v", r.Name, sp.check[0], r.Metrics.Check)
+		}
 	}
 }

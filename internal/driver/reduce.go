@@ -9,23 +9,25 @@ import (
 	"time"
 )
 
-// StreamStats is the standard Reducer: it folds every streamed Result
-// into global and per-family aggregates — shape counts, spill totals at
-// the run's k, and log₂-bucketed phase-time histograms — in O(families)
-// memory. All counts are sums, maxima, or bucket increments, so the
-// folded state is independent of worker count, chunk size, and steal
-// order; CountsText exposes exactly that order-invariant subset and is
-// pinned byte-identical across schedules by the determinism tests.
+// StreamStats is the standard Reducer and the one fold of per-job
+// results: RunStream callers pass it in, and Run, RunCtx and Serve fold
+// their result slices through it too. It keeps global and per-family
+// aggregates — shape counts, spill totals at the run's k, cache and
+// audit counts, summed phase times, and log₂-bucketed phase-time
+// histograms — in O(families) memory. All counts are sums, maxima, or
+// bucket increments, so the folded state is independent of worker
+// count, chunk size, and steal order; CountsText exposes exactly that
+// order-invariant subset and is pinned byte-identical across schedules
+// by the determinism tests.
 type StreamStats struct {
 	mu     sync.Mutex
 	global FamilyAgg
 	fams   map[string]*FamilyAgg
 
-	// Destruct/Build/Total are histograms of per-job phase durations;
-	// timing is schedule-dependent, so they appear in Table but never in
+	// Destruct/Total are histograms of per-job phase durations; timing
+	// is schedule-dependent, so they appear in Table but never in
 	// CountsText.
 	Destruct PhaseHist
-	Build    PhaseHist
 	Total    PhaseHist
 }
 
@@ -45,30 +47,49 @@ type FamilyAgg struct {
 	LivenessVisits  int64
 	DomRecomputes   int64
 
-	Checked       int64
-	CheckFindings int64
+	Checked       int64 // jobs that ran the audit
+	CheckFindings int64 // diagnostics across those jobs
 
-	Spills      int64
-	Reloads     int64
-	ColorsUsed  int64 // max over the family
-	MaxPressure int64 // max over the family
+	CacheHits   int64 // jobs served from the content-addressed cache
+	Revalidated int64 // cache hits recompiled and byte-compared (Config.Revalidate)
 
-	ParseNS    int64 // summed per-phase time (schedule-independent totals
-	BuildNS    int64 // vary only by timer noise; they are excluded from
-	DestructNS int64 // CountsText like the histograms)
-	RegallocNS int64
+	Spills         int64
+	Reloads        int64
+	RegallocRounds int64
+	ColorsUsed     int64 // max over the family
+	MaxPressure    int64 // max over the family
+
+	// Summed per-job phase spans. Across workers they add up CPU-side
+	// time, which on an oversubscribed host includes time a goroutine
+	// spent descheduled, so the sum can exceed the run's wall time.
+	// Timing varies run to run, so CountsText leaves them out.
+	Parse    time.Duration
+	Build    time.Duration
+	Destruct time.Duration
+	Regalloc time.Duration
+	Check    time.Duration
 }
 
 // add folds one compiled (non-skipped) result.
 func (a *FamilyAgg) add(r *Result) {
 	a.Jobs++
+	// Audit accounting happens before the error return: a job whose
+	// checker ran still contributes its findings even if a later stage
+	// errored.
 	if r.Report != nil {
 		a.Checked++
 		a.CheckFindings += int64(r.Metrics.CheckFindings)
+		a.Check += r.Metrics.Check
 	}
 	if r.Err != nil {
 		a.Errors++
 		return
+	}
+	if r.Cached {
+		a.CacheHits++
+	}
+	if r.Revalidated {
+		a.Revalidated++
 	}
 	m := &r.Metrics
 	a.PhisInserted += int64(m.PhisInserted)
@@ -80,16 +101,29 @@ func (a *FamilyAgg) add(r *Result) {
 	a.DomRecomputes += int64(m.DomRecomputes)
 	a.Spills += int64(m.Spills)
 	a.Reloads += int64(m.Reloads)
+	a.RegallocRounds += int64(m.RegallocRounds)
 	if int64(m.ColorsUsed) > a.ColorsUsed {
 		a.ColorsUsed = int64(m.ColorsUsed)
 	}
 	if int64(m.MaxPressure) > a.MaxPressure {
 		a.MaxPressure = int64(m.MaxPressure)
 	}
-	a.ParseNS += int64(m.Parse)
-	a.BuildNS += int64(m.Build)
-	a.DestructNS += int64(m.Destruct)
-	a.RegallocNS += int64(m.Regalloc)
+	a.Parse += m.Parse
+	a.Build += m.Build
+	a.Destruct += m.Destruct
+	a.Regalloc += m.Regalloc
+}
+
+// Functions is the number of jobs that compiled successfully.
+func (a FamilyAgg) Functions() int64 { return a.Jobs - a.Errors }
+
+// FuncsPerSec is the run's throughput: successful jobs per second of
+// wall time. Failed jobs are not throughput.
+func (a FamilyAgg) FuncsPerSec(wall time.Duration) float64 {
+	if wall <= 0 {
+		return 0
+	}
+	return float64(a.Functions()) / wall.Seconds()
 }
 
 // PhaseHist is a log₂ histogram of durations: bucket i counts samples
@@ -149,7 +183,6 @@ func (s *StreamStats) Reduce(r *Result) {
 		s.family(r.Family).add(r)
 	}
 	s.Destruct.observe(r.Metrics.Destruct)
-	s.Build.observe(r.Metrics.Build)
 	s.Total.observe(r.Metrics.Parse + r.Metrics.Build + r.Metrics.Destruct + r.Metrics.Regalloc + r.Metrics.Check)
 }
 
@@ -205,13 +238,15 @@ func countsLine(b *strings.Builder, scope string, a FamilyAgg) {
 		a.ColorsUsed, a.MaxPressure)
 }
 
-// Table renders the reduction plus the engine report as the text block
-// cmd/coalesce -stream prints: a global summary, a per-family table,
-// and the phase histograms.
+// Table renders the fold plus the engine report as the text block the
+// commands print: a global summary, a per-family table when the jobs
+// carry families, and the phase histograms. The wall, cpu-phase, time
+// and histogram fields, alloc and peak-heap are timing or runtime
+// measurements; every other number is schedule-independent.
 func (s *StreamStats) Table(rep *StreamReport, algo Algo, regallocK int) string {
 	g := s.Global()
 	var b strings.Builder
-	fmt.Fprintf(&b, "pipeline %-9s workers %-3d chunk %-4d streamed %d", algo, rep.Workers, rep.Chunk, g.Jobs)
+	fmt.Fprintf(&b, "pipeline %-9s workers %-3d chunk %-4d functions %d", algo, rep.Workers, rep.Chunk, g.Functions())
 	if g.Errors > 0 {
 		fmt.Fprintf(&b, " (%d errors)", g.Errors)
 	}
@@ -219,22 +254,31 @@ func (s *StreamStats) Table(rep *StreamReport, algo Algo, regallocK int) string 
 		fmt.Fprintf(&b, " (%d skipped)", g.Skipped)
 	}
 	b.WriteByte('\n')
-	fps := float64(0)
-	if rep.Wall > 0 {
-		fps = float64(g.Jobs) / rep.Wall.Seconds()
+	perFunc := int64(0)
+	if n := g.Functions(); n > 0 {
+		perFunc = rep.AllocBytes / n
 	}
-	fmt.Fprintf(&b, "  wall %-12v throughput %8.1f funcs/sec   peak-heap %s\n",
-		rep.Wall.Round(time.Microsecond), fps, fmtBytes(rep.PeakHeap))
+	fmt.Fprintf(&b, "  wall %-12v throughput %8.1f funcs/sec   alloc %s (%s/func)   peak-heap %s\n",
+		rep.Wall.Round(time.Microsecond), g.FuncsPerSec(rep.Wall),
+		fmtBytes(rep.AllocBytes), fmtBytes(perFunc), fmtBytes(rep.PeakHeap))
+	fmt.Fprintf(&b, "  cpu phases:    parse %-10v ssa-build %-10v destruct %v\n",
+		g.Parse.Round(time.Microsecond), g.Build.Round(time.Microsecond),
+		g.Destruct.Round(time.Microsecond))
 	fmt.Fprintf(&b, "  scheduler:     pulls %-8d steals %-6d stolen-jobs %d\n",
 		rep.Pulls, rep.Steals, rep.StolenJob)
 	fmt.Fprintf(&b, "  copies:        phis %-8d folded %-8d coalesced %-8d inserted %-8d static %d\n",
 		g.PhisInserted, g.CopiesFolded, g.CopiesCoalesced, g.CopiesInserted, g.StaticCopies)
 	if regallocK > 0 {
-		fmt.Fprintf(&b, "  regalloc:      k %-4d spills %-8d reloads %-8d colors<=%-3d pressure %d\n",
-			regallocK, g.Spills, g.Reloads, g.ColorsUsed, g.MaxPressure)
+		fmt.Fprintf(&b, "  regalloc:      k %-4d spills %-8d reloads %-8d rounds %-5d colors<=%-3d pressure %-4d time %v\n",
+			regallocK, g.Spills, g.Reloads, g.RegallocRounds, g.ColorsUsed, g.MaxPressure,
+			g.Regalloc.Round(time.Microsecond))
 	}
 	if g.Checked > 0 {
-		fmt.Fprintf(&b, "  checks:        audited %-8d findings %d\n", g.Checked, g.CheckFindings)
+		fmt.Fprintf(&b, "  checks:        audited %-8d findings %-8d time %v\n",
+			g.Checked, g.CheckFindings, g.Check.Round(time.Microsecond))
+	}
+	if g.CacheHits > 0 {
+		fmt.Fprintf(&b, "  cache:         hits %-8d revalidated %d\n", g.CacheHits, g.Revalidated)
 	}
 	fams := s.Families()
 	if len(fams) > 0 {

@@ -11,37 +11,35 @@ import (
 
 // TestRegallocBatch compiles the kernel suite with the allocator enabled
 // at a tight k and checks the batch contract: outputs are deterministic
-// across worker counts, the snapshot aggregates the allocator's stats,
+// across worker counts, the fold aggregates the allocator's stats,
 // and spilling actually happened somewhere in the suite.
 func TestRegallocBatch(t *testing.T) {
 	jobs := kernelJobs(t)
 	for _, algo := range driver.Algos {
-		serial, ssnap := driver.Run(jobs, driver.Config{Algo: algo, Workers: 1, RegallocK: 6})
-		parallel, psnap := driver.Run(jobs, driver.Config{Algo: algo, Workers: 8, RegallocK: 6})
-		if ssnap.Errors != 0 || psnap.Errors != 0 {
-			t.Fatalf("%v: errors serial=%d parallel=%d", algo, ssnap.Errors, psnap.Errors)
+		serial, sagg := runAgg(jobs, driver.Config{Algo: algo, Workers: 1, RegallocK: 6})
+		parallel, stats, rep := driver.Run(jobs, driver.Config{Algo: algo, Workers: 8, RegallocK: 6})
+		pagg := stats.Global()
+		if sagg.Errors != 0 || pagg.Errors != 0 {
+			t.Fatalf("%v: errors serial=%d parallel=%d", algo, sagg.Errors, pagg.Errors)
 		}
 		if got, want := render(t, parallel), render(t, serial); got != want {
 			t.Errorf("%v: allocated output differs across worker counts", algo)
 		}
-		if psnap.RegallocK != 6 {
-			t.Errorf("%v: snapshot RegallocK = %d, want 6", algo, psnap.RegallocK)
-		}
-		if psnap.Spills == 0 || psnap.Reloads == 0 {
+		if pagg.Spills == 0 || pagg.Reloads == 0 {
 			t.Errorf("%v: suite at k=6 spilled nothing (spills=%d reloads=%d)",
-				algo, psnap.Spills, psnap.Reloads)
+				algo, pagg.Spills, pagg.Reloads)
 		}
-		if psnap.RegallocRounds < int64(len(jobs)) {
-			t.Errorf("%v: %d allocation rounds for %d jobs", algo, psnap.RegallocRounds, len(jobs))
+		if pagg.RegallocRounds < int64(len(jobs)) {
+			t.Errorf("%v: %d allocation rounds for %d jobs", algo, pagg.RegallocRounds, len(jobs))
 		}
-		if psnap.ColorsUsed < 1 || psnap.ColorsUsed > 6 {
-			t.Errorf("%v: ColorsUsed = %d, want 1..6", algo, psnap.ColorsUsed)
+		if pagg.ColorsUsed < 1 || pagg.ColorsUsed > 6 {
+			t.Errorf("%v: ColorsUsed = %d, want 1..6", algo, pagg.ColorsUsed)
 		}
-		if psnap.Regalloc <= 0 {
+		if pagg.Regalloc <= 0 {
 			t.Errorf("%v: Regalloc time not accounted", algo)
 		}
-		if !strings.Contains(psnap.Table(), "regalloc:") {
-			t.Errorf("%v: snapshot table omits the regalloc line", algo)
+		if !strings.Contains(stats.Table(rep, algo, 6), "regalloc:      k 6 ") {
+			t.Errorf("%v: table omits the regalloc line", algo)
 		}
 	}
 }
@@ -52,19 +50,19 @@ func TestRegallocBatch(t *testing.T) {
 // match its own uncached baseline.
 func TestRegallocCacheKeying(t *testing.T) {
 	jobs := kernelJobs(t)
-	base8, _ := driver.Run(jobs, driver.Config{Algo: driver.New, Workers: 4, RegallocK: 8})
-	base16, _ := driver.Run(jobs, driver.Config{Algo: driver.New, Workers: 4, RegallocK: 16})
+	base8, _, _ := driver.Run(jobs, driver.Config{Algo: driver.New, Workers: 4, RegallocK: 8})
+	base16, _, _ := driver.Run(jobs, driver.Config{Algo: driver.New, Workers: 4, RegallocK: 16})
 
 	c := cache.New(cache.Config{})
 	driver.Run(jobs, driver.Config{Algo: driver.New, Workers: 4, RegallocK: 8, Cache: c}) // fill at k=8
-	r16, s16 := driver.Run(jobs, driver.Config{Algo: driver.New, Workers: 4, RegallocK: 16, Cache: c})
+	r16, s16 := runAgg(jobs, driver.Config{Algo: driver.New, Workers: 4, RegallocK: 16, Cache: c})
 	if s16.CacheHits != 0 {
 		t.Errorf("k=16 run took %d cache hits from the k=8 fill", s16.CacheHits)
 	}
 	if got, want := render(t, r16), render(t, base16); got != want {
 		t.Error("k=16 output through the shared cache differs from uncached")
 	}
-	warm8, s8 := driver.Run(jobs, driver.Config{Algo: driver.New, Workers: 4, RegallocK: 8, Cache: c})
+	warm8, s8 := runAgg(jobs, driver.Config{Algo: driver.New, Workers: 4, RegallocK: 8, Cache: c})
 	if s8.CacheHits != int64(len(jobs)) {
 		t.Errorf("k=8 rerun hit %d of %d jobs", s8.CacheHits, len(jobs))
 	}
@@ -82,9 +80,9 @@ func TestRegallocCacheKeying(t *testing.T) {
 func TestRegallocObsFlow(t *testing.T) {
 	jobs := kernelJobs(t)
 	rec := obs.NewRecorder(obs.Options{})
-	_, snap := driver.Run(jobs, driver.Config{Algo: driver.New, Workers: 2, RegallocK: 6, Obs: rec})
-	if snap.Errors != 0 {
-		t.Fatalf("batch errors: %d", snap.Errors)
+	_, agg := runAgg(jobs, driver.Config{Algo: driver.New, Workers: 2, RegallocK: 6, Obs: rec})
+	if agg.Errors != 0 {
+		t.Fatalf("batch errors: %d", agg.Errors)
 	}
 	var sb strings.Builder
 	if err := rec.Registry().WritePrometheus(&sb); err != nil {
@@ -122,15 +120,16 @@ func TestRegallocObsFlow(t *testing.T) {
 func TestRegallocOffLeavesNoTrace(t *testing.T) {
 	jobs := kernelJobs(t)
 	rec := obs.NewRecorder(obs.Options{})
-	_, snap := driver.Run(jobs, driver.Config{Algo: driver.New, Workers: 2, Obs: rec})
-	if snap.Errors != 0 {
-		t.Fatalf("batch errors: %d", snap.Errors)
+	_, stats, rep := driver.Run(jobs, driver.Config{Algo: driver.New, Workers: 2, Obs: rec})
+	agg := stats.Global()
+	if agg.Errors != 0 {
+		t.Fatalf("batch errors: %d", agg.Errors)
 	}
-	if snap.Spills != 0 || snap.Reloads != 0 || snap.Regalloc != 0 {
-		t.Errorf("allocator stats nonzero with RegallocK=0: %+v", snap)
+	if agg.Spills != 0 || agg.Reloads != 0 || agg.RegallocRounds != 0 || agg.Regalloc != 0 {
+		t.Errorf("allocator stats nonzero with RegallocK=0: %+v", agg)
 	}
-	if strings.Contains(snap.Table(), "regalloc:") {
-		t.Error("snapshot table shows a regalloc line with the allocator off")
+	if strings.Contains(stats.Table(rep, driver.New, 0), "regalloc:") {
+		t.Error("table shows a regalloc line with the allocator off")
 	}
 	var sb strings.Builder
 	if err := rec.Registry().WritePrometheus(&sb); err != nil {

@@ -14,9 +14,10 @@ type ServeOptions struct {
 	// context is cancelled.
 	Rounds int
 
-	// OnRound, when non-nil, is called after each round with its
-	// snapshot — the serving front end prints or logs it.
-	OnRound func(round int, snap *Snapshot)
+	// OnRound, when non-nil, is called after each round with the
+	// round's fold and engine report — the serving front end prints or
+	// logs them.
+	OnRound func(round int, stats *StreamStats, rep *StreamReport)
 }
 
 // ServeReport summarizes one Serve session.
@@ -49,13 +50,14 @@ func Serve(ctx context.Context, jobs []Job, cfg Config, opt ServeOptions) *Serve
 		if ctx.Err() != nil {
 			break
 		}
-		_, snap := runScratches(ctx, jobs, cfg, scs)
+		_, stats, srep := runScratches(ctx, jobs, cfg, scs)
+		g := stats.Global()
 		rep.Rounds++
-		rep.Functions += int64(snap.Functions)
-		rep.Errors += int64(snap.Errors)
-		rep.Skipped += int64(snap.Skipped)
+		rep.Functions += g.Functions()
+		rep.Errors += g.Errors
+		rep.Skipped += g.Skipped
 		if opt.OnRound != nil {
-			opt.OnRound(round, snap)
+			opt.OnRound(round, stats, srep)
 		}
 		if opt.Interval > 0 {
 			select {

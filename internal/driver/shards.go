@@ -5,11 +5,8 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"fastcoalesce/internal/cache"
-	"fastcoalesce/internal/ir"
-	"fastcoalesce/internal/lang"
 	"fastcoalesce/internal/obs"
 )
 
@@ -174,32 +171,20 @@ func (p *ShardPool) Submit(j Job) (Result, error) {
 
 	// Materialize the function: the router hashes canonical IR text, so
 	// source forms parse here rather than on the shard.
-	t0 := time.Now()
-	var err error
-	f := j.Func
-	if f == nil {
-		if j.IR {
-			f, err = ir.Parse(j.Src)
-		} else {
-			f, err = lang.CompileOne(j.Src)
-		}
-		if err != nil {
-			res.Err = err
-			p.bm.observe(&res)
-			return res, nil
-		}
-		j.Func, j.Src = f, ""
+	f, parse, err := parseJob(&j, false, nil)
+	if err != nil {
+		res.Err = err
+		p.bm.observe(&res)
+		return res, nil
 	}
+	j.Func, j.Src = f, ""
 	if res.Name == "" {
 		res.Name = f.Name
 		j.Name = res.Name
 	}
-	parse := time.Since(t0)
 
 	bufp := p.canon.Get().(*[]byte)
-	buf := append((*bufp)[:0], p.cfg.fp...)
-	buf = f.AppendText(buf)
-	key := cache.Sum(buf)
+	key, buf := contentKey(*bufp, p.cfg.fp, f)
 	*bufp = buf
 	p.canon.Put(bufp)
 	j.key = &key
@@ -208,12 +193,7 @@ func (p *ShardPool) Submit(j Job) (Result, error) {
 	// queue slot, no worker wakeup, no backpressure charge.
 	if p.cfg.Cache != nil && !p.cfg.Revalidate {
 		if ent, ok := p.cfg.Cache.Get(key); ok {
-			res.Func = ent.Func
-			res.Cached = true
-			if fm, isFM := ent.Meta.(FuncMetrics); isFM {
-				res.Metrics = fm
-			}
-			res.Metrics.Parse = parse
+			res.fromCache(ent, parse)
 			p.bm.observe(&res)
 			return res, nil
 		}

@@ -17,9 +17,9 @@ import (
 // to a plain batch run of the same jobs.
 func TestShardPoolMatchesRun(t *testing.T) {
 	jobs := kernelJobs(t)
-	batch, snap := driver.Run(jobs, driver.Config{Algo: driver.New, Workers: 1})
-	if snap.Errors != 0 {
-		t.Fatalf("batch errors: %d", snap.Errors)
+	batch, agg := runAgg(jobs, driver.Config{Algo: driver.New, Workers: 1})
+	if agg.Errors != 0 {
+		t.Fatalf("batch errors: %d", agg.Errors)
 	}
 	want := map[string]string{}
 	for _, r := range batch {

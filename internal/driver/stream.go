@@ -18,8 +18,9 @@ import (
 // slice — and a Reducer folds each Result as it is produced, so the
 // engine's footprint is O(workers · chunk) no matter how many functions
 // flow through. RunCtx and Serve are thin adapters over RunStream
-// (SliceSource + a reducer that writes the familiar results slice), so
-// both paths share one scheduler.
+// (SliceSource + a reducer that writes the familiar results slice and
+// folds them into a StreamStats), so both paths share one scheduler and
+// one fold.
 //
 // Scheduling: each worker owns a deque of pulled-but-unstarted jobs. It
 // pops from the front; when empty it pulls the next chunk from the
@@ -126,6 +127,11 @@ type StreamReport struct {
 	Steals    int64 // deque-to-deque transfers
 	StolenJob int64 // jobs moved by those steals
 	PeakHeap  int64 // max /memory/classes/heap/objects:bytes sampled during the run
+
+	// AllocBytes is the process-wide heap allocation over the run
+	// (MemStats.TotalAlloc delta), which under concurrency is the only
+	// attribution the runtime offers.
+	AllocBytes int64
 }
 
 // deque is one worker's window of pulled jobs. The owner pops from the
@@ -232,7 +238,11 @@ func runStream(ctx context.Context, src JobSource, cfg Config, opt StreamOptions
 
 	// Peak-heap sampling: runtime/metrics reads are cheap (no
 	// stop-the-world), so a sampler goroutine polls while the run is
-	// live and the report carries the high-water mark.
+	// live and the report carries the high-water mark. The allocation
+	// total is read once at each end of the run with ReadMemStats: its
+	// stop-the-world flushes the per-P allocation caches, which the
+	// runtime/metrics allocation counter lags by up to a span per size
+	// class, so the delta is exact.
 	heapSample := []rtmetrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
 	readHeap := func() int64 {
 		rtmetrics.Read(heapSample)
@@ -243,6 +253,9 @@ func runStream(ctx context.Context, src JobSource, cfg Config, opt StreamOptions
 	}
 	var peak atomic.Int64
 	peak.Store(readHeap())
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	alloc0 := ms.TotalAlloc
 	samplerDone := make(chan struct{})
 	samplerStop := make(chan struct{})
 	go func() {
@@ -372,6 +385,8 @@ func runStream(ctx context.Context, src JobSource, cfg Config, opt StreamOptions
 	}
 	wg.Wait()
 	rep.Wall = time.Since(start)
+	runtime.ReadMemStats(&ms)
+	rep.AllocBytes = int64(ms.TotalAlloc - alloc0)
 	close(samplerStop)
 	<-samplerDone
 	if h := readHeap(); h > peak.Load() {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"fastcoalesce/internal/analysis"
+	"fastcoalesce/internal/cache"
 	"fastcoalesce/internal/driver"
 )
 
@@ -54,31 +55,47 @@ func TestStreamDeterministicReduction(t *testing.T) {
 }
 
 // TestStreamMatchesBatch cross-checks the streamed aggregates against
-// the batch path's Snapshot over the same jobs: the two engines must
-// agree on every schedule-independent total.
+// per-job sums over the batch path's result slice for the same jobs:
+// the fold must agree with the results it folded on every
+// schedule-independent total.
 func TestStreamMatchesBatch(t *testing.T) {
 	cfg := driver.Config{Algo: driver.New, Workers: 3}
-	_, snap := driver.Run(kernelJobs(t), cfg)
+	results, _, _ := driver.Run(kernelJobs(t), cfg)
+	var want driver.FamilyAgg
+	for i := range results {
+		r := &results[i]
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Name, r.Err)
+		}
+		m := &r.Metrics
+		want.Jobs++
+		want.PhisInserted += int64(m.PhisInserted)
+		want.CopiesFolded += int64(m.CopiesFolded)
+		want.CopiesInserted += int64(m.CopiesInserted)
+		want.CopiesCoalesced += int64(m.CopiesCoalesced)
+		want.StaticCopies += int64(m.StaticCopies)
+		want.LivenessVisits += int64(m.LivenessVisits)
+		want.DomRecomputes += int64(m.DomRecomputes)
+	}
 	red, _ := streamOnce(t, cfg, driver.StreamOptions{Chunk: 8})
 	g := red.Global()
-	if g.Jobs != int64(snap.Functions) || g.Errors != 0 {
-		t.Fatalf("streamed %d jobs (%d errors), batch compiled %d", g.Jobs, g.Errors, snap.Functions)
-	}
 	pairs := []struct {
 		name         string
 		stream, want int64
 	}{
-		{"phis", g.PhisInserted, snap.PhisInserted},
-		{"folded", g.CopiesFolded, snap.CopiesFolded},
-		{"inserted", g.CopiesInserted, snap.CopiesInserted},
-		{"coalesced", g.CopiesCoalesced, snap.CopiesCoalesced},
-		{"static", g.StaticCopies, snap.StaticCopies},
-		{"visits", g.LivenessVisits, snap.LivenessVisits},
-		{"domruns", g.DomRecomputes, snap.DomRecomputes},
+		{"jobs", g.Jobs, want.Jobs},
+		{"errors", g.Errors, 0},
+		{"phis", g.PhisInserted, want.PhisInserted},
+		{"folded", g.CopiesFolded, want.CopiesFolded},
+		{"inserted", g.CopiesInserted, want.CopiesInserted},
+		{"coalesced", g.CopiesCoalesced, want.CopiesCoalesced},
+		{"static", g.StaticCopies, want.StaticCopies},
+		{"visits", g.LivenessVisits, want.LivenessVisits},
+		{"domruns", g.DomRecomputes, want.DomRecomputes},
 	}
 	for _, p := range pairs {
 		if p.stream != p.want {
-			t.Errorf("%s: streamed %d, batch %d", p.name, p.stream, p.want)
+			t.Errorf("%s: streamed %d, batch results sum to %d", p.name, p.stream, p.want)
 		}
 	}
 }
@@ -173,7 +190,7 @@ func TestSpoolRoundTrip(t *testing.T) {
 		Name: "irjob", Family: "irfam", IR: true,
 		Src: "func irjob(n) {\nb0:\n\tx = param 0\n\tret x\n}\n",
 	})
-	pre, _ := driver.Run(jobs[:1], driver.Config{Algo: driver.Standard})
+	pre, _, _ := driver.Run(jobs[:1], driver.Config{Algo: driver.Standard})
 	if pre[0].Err != nil {
 		t.Fatal(pre[0].Err)
 	}
@@ -257,5 +274,31 @@ func TestSpoolTruncated(t *testing.T) {
 	driver.RunStream(context.Background(), src, driver.Config{Workers: 1}, driver.StreamOptions{}, red)
 	if src.Err() == nil {
 		t.Fatal("truncated spool replayed without error")
+	}
+}
+
+// TestStreamFoldsCacheAndRegallocCounters checks the counters the batch
+// table prints beyond the shape counts — cache hits, revalidations,
+// allocator rounds and check time — reach the fold on the streamed
+// path too.
+func TestStreamFoldsCacheAndRegallocCounters(t *testing.T) {
+	jobs := kernelJobs(t)
+	cfg := driver.Config{
+		Algo: driver.New, Workers: 2, RegallocK: 6, Check: analysis.Fast,
+		Cache: cache.New(cache.Config{}), Revalidate: true,
+	}
+	driver.RunStream(context.Background(), driver.NewSliceSource(jobs), cfg, driver.StreamOptions{}, driver.NewStreamStats()) // fill
+	red := driver.NewStreamStats()
+	driver.RunStream(context.Background(), driver.NewSliceSource(jobs), cfg, driver.StreamOptions{Chunk: 4}, red)
+	g := red.Global()
+	n := int64(len(jobs))
+	if g.Errors != 0 || g.CacheHits != n || g.Revalidated != n {
+		t.Fatalf("errors=%d hits=%d revalidated=%d, want 0/%d/%d", g.Errors, g.CacheHits, g.Revalidated, n, n)
+	}
+	if g.RegallocRounds < n || g.Regalloc <= 0 {
+		t.Errorf("regalloc rounds=%d time=%v over %d jobs", g.RegallocRounds, g.Regalloc, n)
+	}
+	if g.Checked != n || g.Check <= 0 {
+		t.Errorf("checked=%d check time=%v, want %d jobs and > 0", g.Checked, g.Check, n)
 	}
 }

@@ -13,14 +13,16 @@
 //     steps, rewrite, verify, check), recorded into per-worker ring
 //     buffers as fixed-size Event structs. The hot path is allocation-
 //     free: a span is two time.Now calls, a ring-slot store, and an
-//     atomic histogram bump. Batches are separated by a generation stamp
+//     atomic histogram bump. A caller that times a stage itself hands
+//     its two instants to Tracer.Span instead, so its own duration and
+//     the span cannot disagree. Batches are separated by a generation stamp
 //     (Recorder.NextGen) rather than by clearing anything — the same
 //     epoch idiom the compilation scratches use (see ARCHITECTURE.md,
 //     "The epoch-stamped scratch idiom").
 //   - the registry (Registry): counters, gauges, and histograms with
 //     fixed log-scale buckets, renderable as Prometheus text exposition
-//     or JSON. The batch driver folds its Snapshot counters into it as
-//     jobs finish, so a scrape mid-batch sees live totals.
+//     or JSON. The batch driver bumps its job counters in it as jobs
+//     finish, so a scrape mid-batch sees live totals.
 //   - the sinks: the in-memory rings themselves (drained by
 //     Recorder.Events), an optional JSONL trace writer that streams every
 //     completed span (TraceWriter), and the HTTP exporter in the obshttp
@@ -361,19 +363,33 @@ func (t *Tracer) End(p Phase) {
 	}
 	t.depth--
 	fr := t.stack[t.depth]
+	t.Span(fr.phase, fr.start, now)
+}
+
+// Span records a completed span for phase p that the caller timed
+// itself, from start to end: a caller that needs the duration anyway
+// (the driver's FuncMetrics) takes its two instants once and hands them
+// here, so the metric and the span can never disagree. It does not
+// touch the Begin/End stack.
+//
+// fc:hotpath
+func (t *Tracer) Span(p Phase, start, end time.Time) {
+	if t == nil {
+		return
+	}
 	e := Event{
 		Gen:    t.rec.gen.Load(),
 		Worker: t.id,
 		Job:    t.job,
-		Phase:  fr.phase,
-		Start:  fr.start.Sub(t.rec.epoch),
-		Dur:    now.Sub(fr.start),
+		Phase:  p,
+		Start:  start.Sub(t.rec.epoch),
+		Dur:    end.Sub(start),
 	}
 	t.mu.Lock()
 	t.ring[t.n%uint64(len(t.ring))] = e
 	t.n++
 	t.mu.Unlock()
-	t.rec.phaseDur[fr.phase].Observe(int64(e.Dur))
+	t.rec.phaseDur[p].Observe(int64(e.Dur))
 	if t.rec.tw != nil {
 		t.rec.tw.WriteEvent(e, t.rec.JobName(e.Job))
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestNilRecorderAndTracer(t *testing.T) {
@@ -146,12 +147,50 @@ func TestTracerZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("enabled tracer span allocates %v objects, want 0", n)
 	}
+	t0 := time.Now()
+	if n := testing.AllocsPerRun(200, func() {
+		tr.Span(PhaseParse, t0, t0.Add(time.Microsecond))
+	}); n != 0 {
+		t.Fatalf("enabled tracer Span allocates %v objects, want 0", n)
+	}
 	var nilTr *Tracer
 	if n := testing.AllocsPerRun(200, func() {
 		nilTr.Begin(PhaseCoalesce1)
 		nilTr.End(PhaseCoalesce1)
+		nilTr.Span(PhaseParse, t0, t0)
 	}); n != 0 {
 		t.Fatalf("nil tracer span allocates %v objects, want 0", n)
+	}
+}
+
+// TestTracerSpanRecordsGivenInstants checks that Span records exactly
+// the caller's instants, tagged with the open job, without disturbing
+// an enclosing Begin/End span.
+func TestTracerSpanRecordsGivenInstants(t *testing.T) {
+	r := NewRecorder(Options{})
+	tr := r.Tracer()
+	tr.BeginJob("f")
+	t0 := time.Now()
+	tr.Span(PhaseParse, t0, t0.Add(1234*time.Nanosecond))
+	tr.EndJob()
+	ev := r.Events()
+	if len(ev) != 2 {
+		t.Fatalf("%d events, want 2 (job + parse)", len(ev))
+	}
+	var parse, job Event
+	for _, e := range ev {
+		switch e.Phase {
+		case PhaseParse:
+			parse = e
+		case PhaseJob:
+			job = e
+		}
+	}
+	if parse.Dur != 1234*time.Nanosecond || parse.Start != t0.Sub(r.epoch) {
+		t.Errorf("parse span start %v dur %v, want %v and 1.234µs", parse.Start, parse.Dur, t0.Sub(r.epoch))
+	}
+	if r.JobName(parse.Job) != "f" || job.Phase != PhaseJob || job.Dur <= 0 {
+		t.Errorf("parse span job %q, job span %+v", r.JobName(parse.Job), job)
 	}
 }
 
